@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.aqua import AquaMitigation
+from repro.dram.geometry import DramGeometry
 from repro.mitigations.base import MitigationScheme
 from repro.mitigations.blockhammer import Blockhammer
 from repro.mitigations.none import NoMitigation
@@ -119,3 +120,52 @@ def test_blockhammer_cbf_estimator_uses_scalar_loop():
     counts = np.array([5, 5, 5], dtype=np.int64)
     scheme.access_epoch(rows, counts, 0.0, 10.0)
     assert scheme.stats.accesses == 15
+
+
+#: The AQUA builders with the Hydra ART of Appendix B.  No
+#: ``SCHEME_BUILDERS`` entry builds Hydra, so the registry sweeps above
+#: never reach its fused-loop path.
+HYDRA_SCHEMES = ("aqua-mm", "aqua-sram")
+
+#: 16K rows: the workload's addressable space ends at row 14336, and
+#: 2100 RQA slots put the first table/RQA row at 14279 (memory-mapped)
+#: or 14284 (SRAM).  A trace confined to rows 14150-14269 therefore
+#: shares Hydra group 111 (rows 14208-14335) with rows the scheme
+#: observes outside the trace: quarantine destinations and table rows.
+_SHARED_GROUP_GEOMETRY = DramGeometry(banks_per_rank=4, rows_per_bank=4096)
+
+
+@pytest.mark.parametrize("scheme", HYDRA_SCHEMES)
+@pytest.mark.parametrize(
+    "spec, seed",
+    [(TINY_SPEC, seed) for seed in SEEDS] + [(COLD_SPEC, 3)],
+    ids=[f"tiny-{seed}" for seed in SEEDS] + ["cold-3"],
+)
+def test_hydra_schemes_match_scalar(monkeypatch, scheme, spec, seed):
+    clear_trace_cache()
+    target = _tiny_workload(spec, seed)
+    builder = SCHEME_BUILDERS[scheme]
+    fused = _result(builder(1000, tracker="hydra"), target)
+    scalar = _scalar_reference(
+        monkeypatch, builder(1000, tracker="hydra"), target
+    )
+    assert fused.to_dict() == scalar.to_dict()
+
+
+@pytest.mark.parametrize("scheme", HYDRA_SCHEMES)
+@pytest.mark.parametrize("seed", (0, 7))
+def test_hydra_group_shared_with_reserved_rows_matches_scalar(
+    monkeypatch, scheme, seed
+):
+    clear_trace_cache()
+    geometry = _SHARED_GROUP_GEOMETRY
+    target = SyntheticWorkload(
+        TINY_SPEC, geometry=geometry, seed=seed,
+        max_background_acts=3000, region_base=14150, region_rows=120,
+    )
+    kwargs = {"tracker": "hydra", "geometry": geometry, "rqa_slots": 2100}
+    builder = SCHEME_BUILDERS[scheme]
+    fused = _result(builder(1000, **kwargs), target)
+    scalar = _scalar_reference(monkeypatch, builder(1000, **kwargs), target)
+    assert fused.migrations > 0
+    assert fused.to_dict() == scalar.to_dict()
