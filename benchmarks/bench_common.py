@@ -1,11 +1,14 @@
 """Shared infrastructure for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper.  Heavy
-34-workload sweeps are computed once per configuration and memoised at
-module scope, so benchmarks that share a sweep (Figs. 6, 7, 9, 10) pay
-for it once.  Each benchmark also writes its rendered table to
-``benchmarks/results/<name>.txt`` so the artifacts survive pytest's
-output capture.
+34-workload sweeps run on the repo's one sweep engine,
+:func:`repro.parallel.run_sweep_parallel`, with one worker per core;
+its merge is deterministic, so the rendered tables are the same bytes
+as a serial run.  Each configuration's sweep is computed once and
+memoised at module scope, so benchmarks that share a sweep (Figs. 6,
+7, 9, 10) pay for it once.  Each benchmark also writes its rendered
+table to ``benchmarks/results/<name>.txt`` so the artifacts survive
+pytest's output capture.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import functools
 import os
 from typing import Dict
 
+from repro.parallel import expand_grid, run_sweep_parallel
 from repro.sim import runner
-from repro.sim.runner import run_suite
 from repro.sim.stats import WorkloadResult
 
 
@@ -25,16 +28,8 @@ steady-state lazy drain)."""
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-
-def _factory(config: str, trh: int, **kwargs):
-    builders = {
-        "aqua-sram": runner.aqua_sram,
-        "aqua-mm": runner.aqua_memory_mapped,
-        "rrs": runner.rrs,
-        "blockhammer": runner.blockhammer,
-        "victim-refresh": runner.victim_refresh,
-    }
-    return builders[config](trh, **kwargs)
+WORKLOADS = tuple(target.name for target in runner.all_workloads())
+"""The paper's 34 workloads (18 SPEC + 16 mixes), in report order."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -44,10 +39,24 @@ def sweep(
     """Run (or fetch) the 34-workload sweep for one configuration.
 
     ``extra`` is a tuple of (key, value) pairs forwarded to the scheme
-    factory (e.g. bloom/FPT-cache sizes for the Fig. 11 sensitivity).
+    builder (e.g. bloom/FPT-cache sizes for the Fig. 11 sensitivity).
+    Returns ``{workload: result}`` in grid order; any failed run fails
+    the benchmark.
     """
-    factory = _factory(config, trh, **dict(extra))
-    return run_suite(factory, epochs=EPOCHS)
+    points = expand_grid(
+        [config],
+        WORKLOADS,
+        thresholds=(trh,),
+        epochs=EPOCHS,
+        scheme_kwargs=dict(extra),
+    )
+    report = run_sweep_parallel(points, jobs=os.cpu_count() or 1)
+    if report.failures:
+        raise RuntimeError(
+            f"{config} @ T_RH={trh} {dict(extra)}: "
+            f"{len(report.failures)} run(s) failed: {report.failures}"
+        )
+    return {point.workload: report.results[point.key] for point in points}
 
 
 def gmean_loss_percent(results: Dict[str, WorkloadResult]) -> float:

@@ -52,7 +52,7 @@ from repro.errors import (
     QueueFullError,
     ServiceError,
 )
-from repro.faults import FaultInjector
+from repro.faults import FaultSpec
 from repro.mitigations.victim_refresh import VictimRefresh
 from repro.parallel import (
     build_results_document,
@@ -70,7 +70,6 @@ from repro.service import (
 from repro.sim import runner
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.telemetry import (
-    Telemetry,
     load_trace_lenient,
     render_series_table,
     render_summary,
@@ -78,7 +77,6 @@ from repro.telemetry import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.workloads.spec import workload
 from repro.workloads.table2 import SPEC_NAMES
 
 
@@ -422,76 +420,71 @@ def _cmd_chaos(args) -> int:
     if unknown:
         print(f"error: unknown workloads {unknown}; choose from {SPEC_NAMES}")
         return 2
+    grid = dict(
+        workloads=args.workloads,
+        thresholds=(args.trh,),
+        epochs=args.epochs,
+        seed=args.seed,
+    )
     # AQUA schemes opt into the throttle degradation so injected RQA
     # exhaustion degrades instead of raising; other schemes have no
     # RQA and need no policy.
-    factories = {
-        "aqua-sram": runner.aqua_sram(args.trh, rqa_full_policy="throttle"),
-        "aqua-mm": runner.aqua_memory_mapped(
-            args.trh, rqa_full_policy="throttle"
-        ),
-        "rrs": runner.rrs(args.trh),
-        "blockhammer": runner.blockhammer(args.trh),
-        "victim-refresh": runner.victim_refresh(args.trh),
-    }
-    telemetry = Telemetry() if args.trace else None
-    injectors = {}
-
-    def injector_factory(scheme: str, name: str) -> FaultInjector:
-        injector = FaultInjector(
-            seed=args.seed,
-            fault_rate=args.fault_rate,
-            scope=f"{scheme}/{name}",
-            telemetry=telemetry,
-        )
-        injectors[(scheme, name)] = injector
-        return injector
-
-    targets = [workload(name, seed=args.seed) for name in args.workloads]
+    aqua = ["aqua-sram", "aqua-mm"]
+    others = ["rrs", "blockhammer", "victim-refresh"]
+    points = expand_grid(
+        aqua, scheme_kwargs={"rqa_full_policy": "throttle"}, **grid
+    ) + expand_grid(others, **grid)
     print(
         f"chaos @ seed={args.seed} fault_rate={args.fault_rate:g}, "
         f"T_RH={args.trh}, {args.epochs} epoch(s), "
-        f"{len(factories)} scheme(s) x {len(targets)} workload(s):"
+        f"{len(aqua) + len(others)} scheme(s) x {len(args.workloads)} "
+        f"workload(s):"
     )
-    report = runner.run_sweep(
-        factories,
-        workloads=targets,
-        epochs=args.epochs,
-        telemetry=telemetry,
-        injector_factory=injector_factory,
+    report = run_sweep_parallel(
+        points,
+        trace=bool(args.trace),
+        fault_spec=FaultSpec(seed=args.seed, fault_rate=args.fault_rate),
     )
+    errors = {
+        (failure.scheme, failure.workload): failure.error
+        for failure in report.failures
+    }
     degraded = 0
-    broke = {failure.scheme + "/" + failure.workload: failure
-             for failure in report.failures}
-    for scheme in factories:
-        for target in targets:
-            key = f"{scheme}/{target.name}"
-            injector = injectors.get((scheme, target.name))
-            summary = injector.summary() if injector is not None else "none"
-            digest = (
-                injector.schedule_digest() if injector is not None else "-"
-            )
-            if key in broke:
-                print(f"  {key:>24s}: BROKE ({broke[key].error}); "
-                      f"faults: {summary}")
-                continue
-            status = "ok"
-            if injector is not None and sum(injector.counts().values()):
-                degraded += 1
-                status = "degraded"
-            print(f"  {key:>24s}: {status}; faults: {summary} "
-                  f"[digest {digest}]")
+    for point in points:
+        name = f"{point.label}/{point.workload}"
+        faults = report.faults[point.key]
+        if point.key in errors:
+            print(f"  {name:>24s}: BROKE ({errors[point.key]}); "
+                  f"faults: {faults['summary']}")
+            continue
+        status = "ok"
+        if sum(faults["counts"].values()):
+            degraded += 1
+            status = "degraded"
+        print(f"  {name:>24s}: {status}; faults: {faults['summary']} "
+              f"[digest {faults['digest']}]")
     print(
         f"chaos result: {len(report.results)} completed "
-        f"({degraded} degraded gracefully), {len(broke)} broke"
+        f"({degraded} degraded gracefully), {len(errors)} broke"
     )
     if args.trace:
-        count = write_jsonl(
-            args.trace,
-            [(event, None) for event in telemetry.tracer.events()],
-        )
+        tagged_events = []
+        for point in points:
+            if point.key not in report.events:
+                continue
+            tag = {"workload": point.workload, "label": point.label}
+            tagged_events.extend(
+                (event, tag) for event in report.events[point.key]
+            )
+            dropped = report.trace_dropped[point.key]
+            if dropped:
+                print(
+                    f"warning: {point.label}/{point.workload} trace "
+                    f"dropped {dropped:,} events (ring buffer wrapped)"
+                )
+        count = write_jsonl(args.trace, tagged_events)
         print(f"wrote {count:,} events to {args.trace}")
-    return 1 if broke else 0
+    return 1 if errors else 0
 
 
 def _cmd_inspect(args) -> int:

@@ -361,7 +361,3 @@ class MitigationScheme(abc.ABC):
     def sram_bytes(self) -> int:
         """SRAM footprint of the scheme's mapping structures (not tracker)."""
         return 0
-
-    def migrations_this_run(self) -> int:
-        """Total mitigative actions since construction."""
-        return self.stats.migrations

@@ -1,4 +1,4 @@
-"""Process-parallel sweep execution.
+"""Process-parallel sweep execution: the repo's one sweep engine.
 
 :func:`run_sweep_parallel` fans a (scheme x workload x threshold) grid
 of :class:`RunPoint` s out to worker processes and merges the results
@@ -14,8 +14,8 @@ determinism diffs.
 
 from repro.parallel.executor import (
     ExecOptions,
-    ParallelSweepReport,
     RunPoint,
+    SweepReport,
     expand_grid,
     resolve_workload,
     run_sweep_parallel,
@@ -28,8 +28,8 @@ from repro.parallel.results import (
 
 __all__ = [
     "ExecOptions",
-    "ParallelSweepReport",
     "RunPoint",
+    "SweepReport",
     "build_results_document",
     "expand_grid",
     "render_results_document",

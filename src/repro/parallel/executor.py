@@ -22,10 +22,10 @@ and on ``--resume`` -- so a killed parallel sweep loses nothing that
 any worker finished.
 
 **Fault tolerance.**  A Python exception inside a run lands in the
-report's failure ledger (as in the serial runner).  A *worker process
-death* (segfault, OOM-kill, ``os._exit``) breaks the shared pool and
-cannot be attributed to a single future, so the executor falls back to
-crash isolation: every implicated point re-runs alone in a fresh
+report's failure ledger.  A *worker process death* (segfault,
+OOM-kill, ``os._exit``) breaks the shared pool and cannot be
+attributed to a single future, so the executor falls back to crash
+isolation: every implicated point re-runs alone in a fresh
 single-worker pool, which completes the innocent bystanders and blames
 the true crasher definitively -- the sweep still does not abort.
 
@@ -46,7 +46,7 @@ from repro.faults import FaultSpec
 from repro.sim import checkpoint as ckpt
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim import runner
-from repro.sim.runner import SCHEME_BUILDERS, RunFailure, SweepReport
+from repro.sim.runner import SCHEME_BUILDERS
 from repro.sim.stats import WorkloadResult
 from repro.telemetry import Telemetry, TraceEvent
 from repro.workloads.mixes import all_mixes
@@ -136,8 +136,8 @@ def expand_grid(
     """Expand a (scheme x threshold x workload) grid into run points.
 
     The returned order *is* the deterministic merge order.  With a
-    single threshold, labels are the bare scheme names (matching the
-    serial runner's checkpoints); with several, ``<scheme>@<trh>``.
+    single threshold, labels are the bare scheme names; with several,
+    ``<scheme>@<trh>``.
     """
     kwargs = tuple(sorted((scheme_kwargs or {}).items()))
     thresholds = tuple(thresholds)
@@ -194,16 +194,39 @@ class ExecOptions:
 
 
 @dataclass
-class ParallelSweepReport(SweepReport):
-    """A :class:`SweepReport` plus the per-run worker payloads."""
+class RunFailure:
+    """One run point that did not produce a result."""
 
+    scheme: str
+    workload: str
+    error: str
+    attempts: int
+
+
+@dataclass
+class SweepReport:
+    """Outcome of a sweep: results, a failure ledger, and the per-run
+    worker payloads, each keyed by run key."""
+
+    results: Dict[RunKey, WorkloadResult] = field(default_factory=dict)
+    failures: List[RunFailure] = field(default_factory=list)
+    resumed: int = 0
+    """Runs skipped because the checkpoint already held them."""
     metrics: Dict[RunKey, Dict[str, float]] = field(default_factory=dict)
     """Per-run flat metric snapshots (instrumented runs only)."""
     events: Dict[RunKey, List[TraceEvent]] = field(default_factory=dict)
     """Per-run trace events (``trace=True`` runs only)."""
     trace_dropped: Dict[RunKey, int] = field(default_factory=dict)
     faults: Dict[RunKey, dict] = field(default_factory=dict)
-    """Per-run ``{counts, digest, summary}`` fault reports."""
+    """Per-run ``{counts, digest, summary}`` fault reports, failed runs
+    included."""
+
+    def by_scheme(self) -> Dict[str, Dict[str, WorkloadResult]]:
+        """Results regrouped as {label: {workload: result}}."""
+        grouped: Dict[str, Dict[str, WorkloadResult]] = {}
+        for (label, name), result in self.results.items():
+            grouped.setdefault(label, {})[name] = result
+        return grouped
 
 
 # ------------------------------------------------------------ worker side
@@ -257,27 +280,30 @@ def _execute_point(point: RunPoint, options: ExecOptions) -> dict:
             retries=options.retries,
             backoff_s=options.backoff_s,
         )
+        payload: dict = {"status": "ok", "result": result.to_dict()}
     except KeyboardInterrupt:
         raise
     except Exception as exc:
-        return {
+        payload = {
             "status": "error",
             "error": f"{type(exc).__name__}: {exc}",
             "attempts": options.retries + 1,
         }
-    payload: dict = {"status": "ok", "result": result.to_dict()}
+    if injector is not None:
+        # A failed run reports its schedule too: it is what broke it.
+        payload["faults"] = {
+            "counts": injector.counts(),
+            "digest": injector.schedule_digest(),
+            "summary": injector.summary(),
+        }
+    if payload["status"] != "ok":
+        return payload
     if telemetry is not None:
         telemetry.collect()
         payload["metrics"] = telemetry.registry.snapshot()
         if options.trace:
             payload["events"] = telemetry.tracer.events()
             payload["trace_dropped"] = telemetry.tracer.dropped
-    if injector is not None:
-        payload["faults"] = {
-            "counts": injector.counts(),
-            "digest": injector.schedule_digest(),
-            "summary": injector.summary(),
-        }
     if _WORKER_JOURNAL is not None:
         ckpt.append_result_record(
             _WORKER_JOURNAL, point.label, point.workload, payload["result"]
@@ -436,7 +462,7 @@ def run_sweep_parallel(
     retries: int = 0,
     backoff_s: float = 0.5,
     progress: Optional[Callable[[str, str, str], None]] = None,
-) -> ParallelSweepReport:
+) -> SweepReport:
     """Run a sweep grid across ``jobs`` worker processes.
 
     ``jobs=1`` executes the identical per-point code inline (no pool),
@@ -478,7 +504,7 @@ def run_sweep_parallel(
         trace_sample=trace_sample,
         fault_spec=fault_spec,
     )
-    report = ParallelSweepReport()
+    report = SweepReport()
     if checkpoint is not None:
         # Leftover sidecars from a killed parallel run hold finished
         # work; fold them in before deciding what still needs running.
@@ -517,6 +543,8 @@ def run_sweep_parallel(
         payload = payloads.get(point.key)
         if payload is None:
             continue
+        if "faults" in payload:
+            report.faults[point.key] = payload["faults"]
         if payload["status"] != "ok":
             report.failures.append(
                 RunFailure(
@@ -542,8 +570,6 @@ def run_sweep_parallel(
             report.trace_dropped[point.key] = payload.get(
                 "trace_dropped", 0
             )
-        if "faults" in payload:
-            report.faults[point.key] = payload["faults"]
         if progress is not None:
             progress(point.label, point.workload, "ok")
     if checkpoint is not None:

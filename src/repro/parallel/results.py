@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from repro.sim.runner import SweepReport
+from repro.parallel.executor import SweepReport
 
 RESULTS_DOCUMENT_VERSION = 1
 

@@ -7,13 +7,10 @@ from repro.sim.runner import (
     all_workloads,
     aqua_memory_mapped,
     aqua_sram,
-    average_migrations_per_epoch,
     baseline,
     blockhammer,
     gmean_slowdown,
     rrs,
-    run_suite,
-    run_workload,
     victim_refresh,
 )
 
@@ -26,12 +23,9 @@ __all__ = [
     "all_workloads",
     "aqua_memory_mapped",
     "aqua_sram",
-    "average_migrations_per_epoch",
     "baseline",
     "blockhammer",
     "gmean_slowdown",
     "rrs",
-    "run_suite",
-    "run_workload",
     "victim_refresh",
 ]

@@ -1,16 +1,20 @@
-"""Experiment runner: scheme factories, suite sweeps, and aggregates.
+"""Experiment runner: scheme factories, one hardened run, aggregates.
 
-This is the layer the benchmarks and examples drive: build a fresh
-scheme per workload, run the 18 SPEC + 16 mix workloads (Sec. III),
-and aggregate with geometric means, exactly as the paper reports.
+:data:`SCHEME_BUILDERS` names the paper's schemes, and
+:func:`run_hardened` runs one workload on a freshly built scheme under
+a timeout and transient-failure retry.  This module runs no suites:
+every sweep -- ``repro sweep``, ``repro chaos``, the paper figures and
+the service -- is a grid of run points executed by
+:func:`repro.parallel.run_sweep_parallel`, which calls
+:func:`run_hardened` once per point.  :func:`gmean_slowdown`
+aggregates a suite as the paper does (Gmean-34).
 """
 
 from __future__ import annotations
 
 import signal
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
 from repro.core.aqua import AquaMitigation
 from repro.core.config import AquaConfig
@@ -20,7 +24,6 @@ from repro.mitigations.blockhammer import Blockhammer
 from repro.mitigations.none import NoMitigation
 from repro.mitigations.rrs import RandomizedRowSwap
 from repro.mitigations.victim_refresh import VictimRefresh
-from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.cpu import gmean
 from repro.sim.stats import WorkloadResult
 from repro.sim.system import SystemSimulator
@@ -144,77 +147,6 @@ def all_workloads(spec_only: bool = False) -> List:
     return workloads
 
 
-def run_workload(
-    factory: SchemeFactory, target, epochs: int = 2, telemetry=None
-) -> WorkloadResult:
-    """Run one workload on a freshly built scheme.
-
-    ``telemetry`` is only forwarded when given, so factories that take
-    no arguments (benchmark lambdas) keep working untouched.
-    """
-    scheme = factory(telemetry=telemetry) if telemetry is not None else factory()
-    simulator = SystemSimulator(scheme)
-    return simulator.run(target, epochs=epochs)
-
-
-def run_suite(
-    factory: SchemeFactory,
-    workloads: Optional[List] = None,
-    epochs: int = 2,
-    telemetry=None,
-) -> Dict[str, WorkloadResult]:
-    """Run a scheme across a workload list (default: all 34).
-
-    When telemetered, every workload shares the one registry/trace
-    (events are distinguishable by their epoch-relative timestamps and
-    the per-epoch ``refresh_window`` markers' ``workload`` attribute).
-    """
-    if workloads is None:
-        workloads = all_workloads()
-    return {
-        target.name: run_workload(
-            factory, target, epochs=epochs, telemetry=telemetry
-        )
-        for target in workloads
-    }
-
-
-# ------------------------------------------------------------- hardened sweep
-
-
-@dataclass
-class RunFailure:
-    """One (scheme, workload) run that did not produce a result."""
-
-    scheme: str
-    workload: str
-    error: str
-    attempts: int
-
-
-@dataclass
-class SweepReport:
-    """Outcome of a hardened sweep: results plus an error ledger."""
-
-    results: Dict[Tuple[str, str], WorkloadResult] = field(
-        default_factory=dict
-    )
-    failures: List[RunFailure] = field(default_factory=list)
-    resumed: int = 0
-    """Runs skipped because the checkpoint already held them."""
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def by_scheme(self) -> Dict[str, Dict[str, WorkloadResult]]:
-        """Results regrouped as {scheme: {workload: result}}."""
-        grouped: Dict[str, Dict[str, WorkloadResult]] = {}
-        for (scheme, name), result in self.results.items():
-            grouped.setdefault(scheme, {})[name] = result
-        return grouped
-
-
 def _call_with_timeout(fn: Callable[[], WorkloadResult], timeout_s: float):
     """Run ``fn`` under a wall-clock deadline.
 
@@ -280,91 +212,7 @@ def run_hardened(
     raise AssertionError("unreachable")
 
 
-def run_sweep(
-    factories: Dict[str, SchemeFactory],
-    workloads: Optional[List] = None,
-    epochs: int = 2,
-    telemetry=None,
-    checkpoint: Optional[SweepCheckpoint] = None,
-    injector_factory: Optional[Callable[[str, str], object]] = None,
-    timeout_s: float = 0.0,
-    retries: int = 0,
-    backoff_s: float = 0.5,
-    progress: Optional[Callable[[str, str, str], None]] = None,
-) -> SweepReport:
-    """Run every (scheme, workload) pair, surviving individual failures.
-
-    One failing run no longer aborts the sweep: it is recorded in the
-    report's ``failures`` ledger and the sweep moves on.  With a
-    ``checkpoint``, each completed run is durably journaled and pairs
-    already present (a ``--resume``) are skipped.  ``injector_factory``
-    (scheme label, workload name) -> injector wires per-run fault
-    injection for the chaos harness; ``progress`` receives
-    (scheme, workload, status) callbacks with status in
-    ``{"resumed", "ok", "failed"}``.
-    """
-    if workloads is None:
-        workloads = all_workloads()
-    report = SweepReport()
-    for label, factory in factories.items():
-        for target in workloads:
-            if checkpoint is not None and checkpoint.has(label, target.name):
-                report.results[(label, target.name)] = checkpoint.completed[
-                    (label, target.name)
-                ]
-                report.resumed += 1
-                if progress is not None:
-                    progress(label, target.name, "resumed")
-                continue
-            injector = (
-                injector_factory(label, target.name)
-                if injector_factory is not None
-                else None
-            )
-            try:
-                result = run_hardened(
-                    factory,
-                    target,
-                    epochs=epochs,
-                    telemetry=telemetry,
-                    fault_injector=injector,
-                    timeout_s=timeout_s,
-                    retries=retries,
-                    backoff_s=backoff_s,
-                )
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:  # ledger, not crash: see docstring
-                report.failures.append(
-                    RunFailure(
-                        scheme=label,
-                        workload=target.name,
-                        error=f"{type(exc).__name__}: {exc}",
-                        attempts=retries + 1,
-                    )
-                )
-                if progress is not None:
-                    progress(label, target.name, "failed")
-                continue
-            report.results[(label, target.name)] = result
-            if checkpoint is not None:
-                checkpoint.record(label, target.name, result)
-            if progress is not None:
-                progress(label, target.name, "ok")
-    return report
-
-
 def gmean_slowdown(results: Dict[str, WorkloadResult]) -> float:
     """Geometric-mean slowdown across a suite (the paper's Gmean-34)."""
     return gmean([result.slowdown for result in results.values()])
 
-
-def average_migrations_per_epoch(
-    results: Dict[str, WorkloadResult],
-) -> float:
-    """Arithmetic-mean mitigations per 64 ms (Fig. 6's 'Average' bar)."""
-    if not results:
-        raise ValueError("no results")
-    return sum(
-        result.migrations_per_epoch for result in results.values()
-    ) / len(results)

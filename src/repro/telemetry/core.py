@@ -159,12 +159,7 @@ class Telemetry:
         self.event("refresh_window", ts_ns, epoch=epoch, **attrs)
         return entry
 
-    # -------------------------------------------------------------- reports
-
-    def metrics_table(self) -> str:
-        """Collect and render the current metrics as an aligned table."""
-        self.collect()
-        return self.registry.render_table()
+    # ---------------------------------------------------------------- reset
 
     def reset(self) -> None:
         """Clear metrics, events, timeline, and epoch baselines."""

@@ -23,23 +23,6 @@ import numpy as np
 from repro.core.cat import _mix
 from repro.dram.timing import DDR4Timing, DDR4_2400
 
-_M64 = (1 << 64) - 1
-
-
-def _mix_array(values: np.ndarray, seed: int) -> np.ndarray:
-    """Vectorized :func:`repro.core.cat._mix` over a uint64 array.
-
-    uint64 multiplication wraps modulo 2**64, which is exactly the
-    ``& _M64`` masking of the scalar version.
-    """
-    with np.errstate(over="ignore"):
-        v = values.astype(np.uint64) ^ np.uint64(seed & _M64)
-        v = v * np.uint64(0x9E3779B97F4A7C15)
-        v ^= v >> np.uint64(29)
-        v = v * np.uint64(0xBF58476D1CE4E5B9)
-        v ^= v >> np.uint64(32)
-    return v
-
 
 class CountingBloomFilter:
     """k-hash counting bloom filter over row addresses."""
@@ -69,31 +52,6 @@ class CountingBloomFilter:
             value = int(self._counters[bucket])
             estimate = value if estimate is None else min(estimate, value)
         return estimate
-
-    def increment_batch(
-        self, rows: np.ndarray, amounts: np.ndarray
-    ) -> None:
-        """Bulk-count ``amounts[i]`` activations of ``rows[i]``.
-
-        Equivalent to calling :meth:`increment` per pair (increments
-        commute), without returning the order-dependent intermediate
-        estimates.  Hash buckets are computed vectorized and the
-        scatter-add uses ``np.add.at`` so aliasing rows accumulate.
-        """
-        if len(rows) != len(amounts):
-            raise ValueError("rows and amounts must align")
-        if len(rows) == 0:
-            return
-        if int(amounts.min()) < 0:
-            raise ValueError("amount must be non-negative")
-        num = self.num_counters
-        amounts64 = amounts.astype(np.int64)
-        rows_u = rows.astype(np.uint64)
-        for seed in self._seeds:
-            buckets = (_mix_array(rows_u, seed) % np.uint64(num)).astype(
-                np.int64
-            )
-            np.add.at(self._counters, buckets, amounts64)
 
     def estimate(self, row_id: int) -> int:
         """Never-undercounting activation estimate for ``row_id``."""

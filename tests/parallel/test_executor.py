@@ -155,6 +155,19 @@ class TestFaultSpecParallelism:
         for fault in report.faults.values():
             assert "tracker_drop" not in fault["counts"]
 
+    def test_failed_run_still_reports_its_faults(self):
+        # Under the default "fail" policy a migration interrupted past
+        # its retry budget raises, so the run breaks; its schedule must
+        # still reach the report.
+        points = small_points(workloads=("gcc",))
+        spec = FaultSpec(seed=7, rates=(("migration_interrupt", 1.0),))
+        report = run_sweep_parallel(points, fault_spec=spec)
+        assert [f.workload for f in report.failures] == ["gcc"]
+        assert "FaultExhaustedError" in report.failures[0].error
+        fault = report.faults[points[0].key]
+        assert fault["counts"]["migration_interrupt"] >= 1
+        assert fault["digest"] and fault["summary"]
+
 
 class TestTelemetryMerge:
     def test_worker_snapshots_fold_into_parent_registry(self):

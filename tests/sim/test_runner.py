@@ -1,15 +1,10 @@
-"""Experiment runner: factories, suites, aggregates."""
+"""Experiment runner: factories, one hardened run, aggregates."""
 
 import pytest
 
+from repro.parallel import expand_grid, run_sweep_parallel
 from repro.sim import runner
-from repro.sim.runner import (
-    all_workloads,
-    gmean_slowdown,
-    average_migrations_per_epoch,
-    run_suite,
-    run_workload,
-)
+from repro.sim.runner import all_workloads, gmean_slowdown, run_hardened
 from repro.workloads.spec import workload
 
 
@@ -37,19 +32,20 @@ class TestSuite:
         assert len(all_workloads()) == 34
         assert len(all_workloads(spec_only=True)) == 18
 
-    def test_run_workload_cold_spec(self):
-        result = run_workload(runner.aqua_sram(1000), workload("wrf"), epochs=1)
+    def test_cold_spec_run(self):
+        result = run_hardened(
+            runner.aqua_sram(1000), workload("wrf"), epochs=1
+        )
         assert result.workload == "wrf"
         assert result.migrations == 0
         assert result.slowdown == pytest.approx(1.0, abs=1e-6)
 
-    def test_run_suite_and_aggregates(self):
-        targets = [workload("wrf"), workload("xz")]
-        results = run_suite(runner.aqua_sram(1000), targets, epochs=1)
-        assert set(results) == {"wrf", "xz"}
+    def test_sweep_and_gmean_aggregate(self):
+        points = expand_grid(["aqua-sram"], ["wrf", "xz"], epochs=1)
+        results = run_sweep_parallel(points).by_scheme()["aqua-sram"]
+        assert list(results) == ["wrf", "xz"]
         assert gmean_slowdown(results) >= 1.0
-        assert average_migrations_per_epoch(results) >= 0.0
 
     def test_empty_results_rejected(self):
         with pytest.raises(ValueError):
-            average_migrations_per_epoch({})
+            gmean_slowdown({})

@@ -1,17 +1,20 @@
-"""Hardened sweep: timeouts, retries, failure ledger, resume equality."""
+"""Hardened runs and sweeps: timeouts, retries, failure ledger, resume
+equality, seed-determined fault schedules."""
 
 import time
 
 import pytest
 
 from repro.errors import RunTimeoutError
-from repro.faults import FaultInjector
+from repro.faults import FaultSpec
+from repro.parallel import expand_grid, run_sweep_parallel
 from repro.sim import runner
 from repro.sim.checkpoint import SweepCheckpoint
+from repro.sim.system import SystemSimulator
 from repro.workloads.spec import workload
 
 
-WORKLOADS = [workload("xz"), workload("wrf")]
+WORKLOADS = ["xz", "wrf"]
 META = {"purpose": "test"}
 
 
@@ -30,9 +33,9 @@ def flaky_factory(failures_left):
 
 
 class TestRunHardened:
-    def test_plain_run_matches_run_workload(self):
+    def test_plain_run_matches_direct_simulation(self):
         target = workload("xz")
-        direct = runner.run_workload(runner.aqua_sram(1000), target)
+        direct = SystemSimulator(runner.aqua_sram(1000)()).run(target)
         hardened = runner.run_hardened(runner.aqua_sram(1000), target)
         assert hardened.to_dict() == direct.to_dict()
 
@@ -71,32 +74,38 @@ class TestRunHardened:
 
 
 class TestRunSweep:
-    def test_failures_are_ledgered_not_fatal(self):
-        factories = {
-            "good": runner.aqua_sram(1000),
-            "bad": flaky_factory(failures_left=99),
-        }
-        report = runner.run_sweep(factories, workloads=WORKLOADS)
-        assert not report.ok
-        assert len(report.results) == 2  # both 'good' runs landed
+    """The failure ledger and checkpoint resume of the sweep engine."""
+
+    @pytest.fixture
+    def bad_scheme(self):
+        def bad_builder(trh, **kwargs):
+            return flaky_factory(failures_left=99)
+
+        runner.register_scheme_builder("bad", bad_builder)
+        yield "bad"
+        runner.SCHEME_BUILDERS.pop("bad", None)
+
+    def test_failures_are_ledgered_not_fatal(self, bad_scheme):
+        points = expand_grid(["aqua-sram", bad_scheme], WORKLOADS)
+        report = run_sweep_parallel(points)
+        assert len(report.results) == 2  # both 'aqua-sram' runs landed
         assert len(report.failures) == 2
-        assert {f.scheme for f in report.failures} == {"bad"}
+        assert {f.scheme for f in report.failures} == {bad_scheme}
         assert all(
             "synthetic crash" in f.error for f in report.failures
         )
 
     def test_checkpointed_sweep_resumes_without_rerunning(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
-        factories = {"aqua-sram": runner.aqua_sram(1000)}
         with SweepCheckpoint.create(path, META) as checkpoint:
-            runner.run_sweep(
-                factories, workloads=WORKLOADS[:1], checkpoint=checkpoint
+            run_sweep_parallel(
+                expand_grid(["aqua-sram"], WORKLOADS[:1]),
+                checkpoint=checkpoint,
             )
         with SweepCheckpoint.resume(path, META) as checkpoint:
             statuses = []
-            report = runner.run_sweep(
-                factories,
-                workloads=WORKLOADS,
+            report = run_sweep_parallel(
+                expand_grid(["aqua-sram"], WORKLOADS),
                 checkpoint=checkpoint,
                 progress=lambda s, w, st: statuses.append((w, st)),
             )
@@ -105,72 +114,65 @@ class TestRunSweep:
 
     def test_killed_and_resumed_equals_uninterrupted(self, tmp_path):
         """The acceptance property behind ``sweep --resume``."""
-        factories = {"aqua-sram": runner.aqua_sram(1000)}
         straight = str(tmp_path / "straight.jsonl")
         with SweepCheckpoint.create(straight, META) as checkpoint:
-            runner.run_sweep(
-                factories, workloads=WORKLOADS, checkpoint=checkpoint
+            run_sweep_parallel(
+                expand_grid(["aqua-sram"], WORKLOADS), checkpoint=checkpoint
             )
         interrupted = str(tmp_path / "interrupted.jsonl")
         with SweepCheckpoint.create(interrupted, META) as checkpoint:
             # "Crash" after the first workload...
-            runner.run_sweep(
-                factories, workloads=WORKLOADS[:1], checkpoint=checkpoint
+            run_sweep_parallel(
+                expand_grid(["aqua-sram"], WORKLOADS[:1]),
+                checkpoint=checkpoint,
             )
         # ...then resume with the full list.
         with SweepCheckpoint.resume(interrupted, META) as checkpoint:
-            runner.run_sweep(
-                factories, workloads=WORKLOADS, checkpoint=checkpoint
+            run_sweep_parallel(
+                expand_grid(["aqua-sram"], WORKLOADS), checkpoint=checkpoint
             )
         assert open(interrupted).read() == open(straight).read()
 
 
 class TestFaultScheduleReproducibility:
+    """Seed-determined fault schedules on a throttled small AQUA."""
+
+    SMALL_AQUA = {
+        "rqa_full_policy": "throttle",
+        "rqa_slots": 64,
+        "tracker_entries_per_bank": 64,
+    }
+
+    def points(self, workloads=WORKLOADS):
+        return expand_grid(
+            ["aqua-sram"], workloads, thresholds=(64,),
+            scheme_kwargs=self.SMALL_AQUA,
+        )
+
     def test_same_seed_byte_identical_checkpoint(self, tmp_path):
         """Same seed -> same fault schedule -> byte-identical results."""
         paths = []
         for name in ("a.jsonl", "b.jsonl"):
             path = str(tmp_path / name)
             paths.append(path)
-            factories = {
-                "aqua-sram": runner.aqua_sram(
-                    64, rqa_full_policy="throttle", rqa_slots=64,
-                    tracker_entries_per_bank=64,
-                )
-            }
             with SweepCheckpoint.create(path, META) as checkpoint:
-                runner.run_sweep(
-                    factories,
-                    workloads=WORKLOADS,
+                report = run_sweep_parallel(
+                    self.points(),
                     checkpoint=checkpoint,
-                    injector_factory=lambda s, w: FaultInjector(
-                        seed=7, fault_rate=1e-3, scope=f"{s}/{w}"
-                    ),
+                    fault_spec=FaultSpec(seed=7, fault_rate=1e-3),
                 )
+            assert not report.failures
+            assert any(fault["counts"] for fault in report.faults.values())
         assert open(paths[0]).read() == open(paths[1]).read()
 
     def test_different_seed_changes_the_schedule(self):
         def run(seed):
-            injectors = {}
-
-            def factory(s, w):
-                injector = FaultInjector(
-                    seed=seed, fault_rate=5e-3, scope=f"{s}/{w}"
-                )
-                injectors[(s, w)] = injector
-                return injector
-
-            runner.run_sweep(
-                {"aqua-sram": runner.aqua_sram(
-                    64, rqa_full_policy="throttle", rqa_slots=64,
-                    tracker_entries_per_bank=64,
-                )},
-                workloads=WORKLOADS[:1],
-                injector_factory=factory,
+            report = run_sweep_parallel(
+                self.points(WORKLOADS[:1]),
+                fault_spec=FaultSpec(seed=seed, fault_rate=5e-3),
             )
             return {
-                key: injector.schedule_digest()
-                for key, injector in injectors.items()
+                key: fault["digest"] for key, fault in report.faults.items()
             }
 
         first, second = run(7), run(8)

@@ -8,13 +8,13 @@ single workloads, so every Table VI column has an end-to-end test.
 import pytest
 
 from repro.sim import runner
-from repro.sim.runner import run_workload
+from repro.sim.runner import run_hardened
 from repro.workloads.spec import workload
 
 
 class TestVictimRefreshSuitePath:
     def test_hot_workload_incurs_refresh_busy_time(self):
-        result = run_workload(
+        result = run_hardened(
             runner.victim_refresh(1000), workload("roms"), epochs=1
         )
         assert result.migrations > 0
@@ -22,7 +22,7 @@ class TestVictimRefreshSuitePath:
         assert result.slowdown > 1.0
 
     def test_cold_workload_unaffected(self):
-        result = run_workload(
+        result = run_hardened(
             runner.victim_refresh(1000), workload("povray"), epochs=1
         )
         assert result.migrations == 0
@@ -31,7 +31,7 @@ class TestVictimRefreshSuitePath:
 
 class TestBlockhammerSuitePath:
     def test_hot_workload_pays_throttling(self):
-        result = run_workload(
+        result = run_hardened(
             runner.blockhammer(1000), workload("lbm"), epochs=1
         )
         # lbm's 500+ rows exceed the blacklist threshold and then the
@@ -40,14 +40,14 @@ class TestBlockhammerSuitePath:
         assert result.slowdown > 1.0
 
     def test_no_migrations_ever(self):
-        result = run_workload(
+        result = run_hardened(
             runner.blockhammer(1000), workload("lbm"), epochs=1
         )
         assert result.migrations == 0
         assert result.busy_ns == 0.0
 
     def test_cold_workload_unaffected(self):
-        result = run_workload(
+        result = run_hardened(
             runner.blockhammer(1000), workload("wrf"), epochs=1
         )
         assert result.peak_stall_ns == 0.0

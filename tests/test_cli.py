@@ -1,10 +1,14 @@
 """CLI: every subcommand produces a sane report and exit code."""
 
+import functools
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.faults import FaultSpec
+from repro.parallel import executor, expand_grid, run_sweep_parallel
+from repro.telemetry import Telemetry
 
 
 class TestSizing:
@@ -260,6 +264,60 @@ class TestChaos:
         capsys.readouterr()
         assert main(["inspect", trace]) == 0
         assert "fault" in capsys.readouterr().out
+
+
+class TestChaosTrace:
+    """``chaos --trace`` keeps every run's events, tagged by run."""
+
+    ARGV = ["chaos", "--seed", "7", "--fault-rate", "1e-3",
+            "--epochs", "1", "--workloads", "gcc"]
+
+    # Victim refresh records its mitigations as ``victim_refresh``
+    # events; every other scheme records them as ``migration`` events.
+    MITIGATION_KIND = {"victim-refresh": "victim_refresh"}
+
+    def test_every_run_is_complete_and_tagged(self, tmp_path, capsys):
+        trace = str(tmp_path / "chaos.jsonl")
+        assert main(self.ARGV + ["--trace", trace]) == 0
+        assert "warning" not in capsys.readouterr().out
+        with open(trace, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        kinds = {}
+        for record in records:
+            run = (record["label"], record["workload"])
+            kinds.setdefault(run, []).append(record["kind"])
+        # The same grid, untraced: its results and fault schedules are
+        # what each run's events must account for.
+        grid = dict(workloads=["gcc"], epochs=1, seed=7)
+        points = expand_grid(
+            ["aqua-sram", "aqua-mm"],
+            scheme_kwargs={"rqa_full_policy": "throttle"},
+            **grid,
+        ) + expand_grid(["rrs", "blockhammer", "victim-refresh"], **grid)
+        report = run_sweep_parallel(
+            points, fault_spec=FaultSpec(seed=7, fault_rate=1e-3)
+        )
+        assert set(kinds) == {point.key for point in points}
+        for point in points:
+            run = kinds[point.key]
+            kind = self.MITIGATION_KIND.get(point.label, "migration")
+            assert run.count(kind) == report.results[point.key].migrations
+            faults = sum(report.faults[point.key]["counts"].values())
+            assert run.count("fault") == faults
+        assert sum(
+            report.results[point.key].migrations for point in points
+        ) > 0
+
+    def test_wrapped_ring_buffer_warns(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            executor, "Telemetry", functools.partial(Telemetry, capacity=64)
+        )
+        trace = str(tmp_path / "chaos.jsonl")
+        argv = ["chaos", "--epochs", "1", "--workloads", "xz"]
+        assert main(argv + ["--trace", trace]) == 0
+        out = capsys.readouterr().out
+        assert "warning: aqua-mm/xz trace dropped" in out
+        assert "ring buffer wrapped" in out
 
 
 class TestAttack:

@@ -18,7 +18,6 @@ from repro.trackers import (
     MisraGriesTracker,
     PerRowCounterTracker,
 )
-from repro.trackers.cbf import CountingBloomFilter
 from repro.trackers.misra_gries import MisraGriesBank
 
 
@@ -162,28 +161,3 @@ def test_settle_epoch_counters_matches_feeding_exact():
     for row in np.unique(rows).tolist():
         assert settled.estimate(int(row)) == fed.estimate(int(row))
 
-
-def test_cbf_increment_batch_matches_sequential():
-    batched = CountingBloomFilter(counters=64, hashes=3)
-    sequential = CountingBloomFilter(counters=64, hashes=3)
-    rng = np.random.default_rng(21)
-    rows = rng.integers(0, 1000, size=200).astype(np.int64)
-    amounts = rng.integers(0, 9, size=200).astype(np.int64)
-    batched.increment_batch(rows, amounts)
-    for row, amount in zip(rows.tolist(), amounts.tolist()):
-        sequential.increment(int(row), int(amount))
-    np.testing.assert_array_equal(batched._counters, sequential._counters)
-    for row in np.unique(rows).tolist():
-        assert batched.estimate(int(row)) == sequential.estimate(int(row))
-
-
-def test_cbf_increment_batch_validates():
-    cbf = CountingBloomFilter(counters=16, hashes=2)
-    with pytest.raises(ValueError):
-        cbf.increment_batch(
-            np.array([1, 2], dtype=np.int64), np.array([1], dtype=np.int64)
-        )
-    with pytest.raises(ValueError):
-        cbf.increment_batch(
-            np.array([1], dtype=np.int64), np.array([-1], dtype=np.int64)
-        )
