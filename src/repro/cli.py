@@ -113,6 +113,19 @@ def _sample_rate(text: str) -> float:
     return value
 
 
+def _probability(text: str) -> float:
+    """argparse type: a number in [0, 1] (clean error, no traceback)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be in [0, 1] (got {value})"
+        )
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -171,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--seed", type=int, default=7,
                        help="fault-schedule seed (default 7)")
-    chaos.add_argument("--fault-rate", type=float, default=1e-3,
+    chaos.add_argument("--fault-rate", type=_probability, default=1e-3,
                        metavar="RATE",
                        help="per-check fire probability for every fault "
                             "site (default 1e-3)")

@@ -44,6 +44,7 @@ from repro.trackers import (
     ExactTracker,
     HydraTracker,
     MisraGriesTracker,
+    PerBankTracker,
 )
 
 
@@ -116,7 +117,7 @@ class AquaMitigation(MitigationScheme):
             self.tables.table_base_row is not None
         ):
             n_table_rows = (
-                self.tables._table_row_of(cfg.geometry.rows_per_rank - 1)
+                self.tables.table_row_of(cfg.geometry.rows_per_rank - 1)
                 - self.tables.table_base_row
                 + 1
             )
@@ -124,13 +125,6 @@ class AquaMitigation(MitigationScheme):
             n_table_rows = 0
         self._tracker_reserve = (
             n_table_rows // banks + 1 + cfg.derived_rqa_slots // banks + 1
-        )
-        #: Bank count when the tracker is the per-bank Misra-Gries ART
-        #: built above with the modulo bank map -- lets the fused epoch
-        #: loop dispatch straight to the bank kernels, skipping the
-        #: per-chunk rank-counter wrapper (counters settle in bulk).
-        self._tracker_mod_banks = (
-            banks if cfg.tracker == "misra-gries" else None
         )
         self.energy = DramEnergyCounters()
         #: SRAM-pinned FPT entries for the physical rows holding the
@@ -254,7 +248,7 @@ class AquaMitigation(MitigationScheme):
           identity and every observation is crossing-free, so the whole
           epoch settles as bulk counter arithmetic.
         * **Fused loop** -- otherwise, a single Python loop over the
-          chunk arrays feeds the tracker's fast kernel directly.  Rows
+          chunk arrays feeds each chunk to its tracker bank.  Rows
           whose bloom group (memory-mapped) or FPT entry (SRAM) cannot
           be mapped skip the translation machinery entirely and settle
           their lookup counters in bulk at epoch end; only chunks that
@@ -295,34 +289,25 @@ class AquaMitigation(MitigationScheme):
                     tables.fpt.lookups += total
                 self.now_ns = last_now
                 return
-        # Direct per-bank dispatch: when the ART is the modulo-mapped
-        # Misra-Gries tracker with no telemetry, call the bank kernels
-        # straight from the loop and settle the rank-level counters in
-        # bulk afterwards (they are commutative integer sums; table-row
-        # observes go through ``observe_batch``, which maintains its
-        # own rank counters, so they are unaffected).
-        nb = self._tracker_mod_banks
-        direct = None
-        if nb is not None and not tracker._telemetry.enabled:
-            fast_banks = [
-                getattr(tracker._banks[b], "observe_fast", None)
-                for b in range(nb)
-            ]
-            if all(fn is not None for fn in fast_banks):
-                direct = fast_banks
-        kernel = tracker.chunk_kernel() if direct is None else None
+        # Per-bank dispatch: the loop feeds each chunk straight to its
+        # bank, indexed by the modulo bank map ``_build_tracker`` gave
+        # the tracker; a tracker without banks is one bank.
+        if isinstance(tracker, PerBankTracker):
+            observe = [bank.observe_batch for bank in tracker.banks]
+        else:
+            observe = [tracker.observe_batch]
+        nb = len(observe)
         feed = tracker.sparse_feed_mask(uniq, totals, self._tracker_reserve)
         feed_l = feed[inverse].tolist()
         rows_l = rows.tolist()
         counts_l = counts.tolist()
         if mm:
             group_size = tables.bloom.group_size
-            # Bloom-positive groups: a bit is set iff its group is in
-            # ``_valid_in_group``, so the keys are exactly the groups a
-            # lookup would not filter.  Grow-only within the epoch --
-            # releases only ever turn groups negative, which merely
-            # sends their rows down the (still exact) full path.
-            dirty = set(tables.bloom._valid_in_group)
+            # Bloom-positive groups are exactly the groups a lookup
+            # would not filter.  Grow-only within the epoch -- releases
+            # only ever turn groups negative, which merely sends their
+            # rows down the (still exact) full path.
+            dirty = set(tables.bloom.positive_groups())
             keys_l = (rows // group_size).tolist()
         else:
             group_size = 0
@@ -332,8 +317,6 @@ class AquaMitigation(MitigationScheme):
         quarantine = self._quarantine
         now = start_ns
         cold_acts = 0
-        settled_acts = 0
-        trig_sum = 0
         settle_rows: list = []
         settle_counts: list = []
         for row, cnt, key, fd in zip(rows_l, counts_l, keys_l, feed_l):
@@ -341,21 +324,13 @@ class AquaMitigation(MitigationScheme):
                 self.now_ns = now
                 stats.accesses += cnt
                 physical = translate(row, cnt)[0]
-                crossings = (
-                    direct[physical % nb](physical, cnt)
-                    if direct is not None
-                    else kernel(physical, cnt)
-                )
+                crossings = observe[physical % nb](physical, cnt)
             elif fd:
                 # Provably unmapped: identity translation whose only
                 # effect is commutative lookup counters, settled in
                 # bulk below.  The tracker still sees the chunk.
                 stats.accesses += cnt
-                crossings = (
-                    direct[row % nb](row, cnt)
-                    if direct is not None
-                    else kernel(row, cnt)
-                )
+                crossings = observe[row % nb](row, cnt)
                 if crossings:
                     # Rare spurious install: pay the (bloom-filtered)
                     # lookup now instead of in the bulk settle, then
@@ -372,13 +347,11 @@ class AquaMitigation(MitigationScheme):
                 # any other row, so the chunk is pure bulk accounting.
                 stats.accesses += cnt
                 cold_acts += cnt
-                settled_acts += cnt
                 settle_rows.append(row)
                 settle_counts.append(cnt)
                 now += cnt * dt_ns
                 continue
             if crossings:
-                trig_sum += crossings
                 busy = 0.0
                 stall = 0.0
                 for _ in range(crossings):
@@ -390,10 +363,6 @@ class AquaMitigation(MitigationScheme):
                 stats.stall_ns += stall
                 dirty.add(row // group_size if mm else row)
             now += cnt * dt_ns
-        if direct is not None:
-            # Rank-level counters for the fed chunks, settled in bulk.
-            tracker.observations += total - settled_acts
-            tracker.triggers += trig_sum
         if settle_rows:
             tracker.settle_epoch_counters(
                 np.asarray(settle_rows, dtype=np.int64),
@@ -679,7 +648,7 @@ class AquaMitigation(MitigationScheme):
         For tests and tools; does not touch trackers or lookup stats.
         """
         if isinstance(self.tables, SramTables):
-            slot = self.tables.fpt._cat.lookup(logical_row)
+            slot = self.tables.fpt.peek(logical_row)
         else:
             slot = self.tables.dram_fpt.peek(logical_row)
         if slot is None:

@@ -20,7 +20,7 @@ hardware reads the co-resident FPT line entries instead).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, KeysView, List
 
 
 class ResettableBloomFilter:
@@ -85,6 +85,10 @@ class ResettableBloomFilter:
     def group_valid_count(self, row_id: int) -> int:
         """Valid FPT entries in ``row_id``'s group (singleton detection)."""
         return self._valid_in_group.get(self.group_of(row_id), 0)
+
+    def positive_groups(self) -> KeysView[int]:
+        """Read-only view of the groups whose bit is set."""
+        return self._valid_in_group.keys()
 
     def set_groups(self) -> int:
         """Number of groups whose bit is currently set."""

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.hashing import mix
+
 
 class TableOverflowError(RuntimeError):
     """Raised when an insert cannot be placed even after relocation.
@@ -25,16 +27,6 @@ class TableOverflowError(RuntimeError):
     it loudly (rather than silently dropping the mapping) is a security
     requirement, since a dropped FPT entry would misroute accesses.
     """
-
-
-def _mix(value: int, seed: int) -> int:
-    """Deterministic 64-bit hash mix (xorshift-multiply)."""
-    value = (value ^ seed) & 0xFFFFFFFFFFFFFFFF
-    value = (value * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    value ^= value >> 29
-    value = (value * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    value ^= value >> 32
-    return value
 
 
 class CollisionAvoidanceTable:
@@ -65,7 +57,7 @@ class CollisionAvoidanceTable:
         self.ways = ways
         self.max_relocations = max_relocations
         self.sets_per_skew = max(1, capacity // (2 * ways))
-        self._seeds = (_mix(seed, 0x1234_5678), _mix(seed, 0x8765_4321))
+        self._seeds = (mix(seed, 0x1234_5678), mix(seed, 0x8765_4321))
         # buckets[skew][set] -> {key: value}
         self._buckets: List[List[Dict[int, object]]] = [
             [dict() for _ in range(self.sets_per_skew)] for _ in range(2)
@@ -74,7 +66,7 @@ class CollisionAvoidanceTable:
         self.relocations = 0
 
     def _index(self, skew: int, key: int) -> int:
-        return _mix(key, self._seeds[skew]) % self.sets_per_skew
+        return mix(key, self._seeds[skew]) % self.sets_per_skew
 
     def _bucket(self, skew: int, key: int) -> Dict[int, object]:
         return self._buckets[skew][self._index(skew, key)]

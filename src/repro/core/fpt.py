@@ -50,6 +50,10 @@ class ForwardPointerTable:
             self.hits += 1
         return slot
 
+    def peek(self, row_id: int) -> Optional[int]:
+        """:meth:`lookup` without counting it (model-internal use)."""
+        return self._cat.lookup(row_id)
+
     def insert(self, row_id: int, slot: int) -> None:
         """Map ``row_id`` to RQA ``slot`` (insert or update)."""
         if slot < 0:

@@ -163,7 +163,7 @@ class MemoryMappedTables(TableBackend):
 
     # ---------------------------------------------------------------- helpers
 
-    def _table_row_of(self, row_id: int) -> Optional[int]:
+    def table_row_of(self, row_id: int) -> Optional[int]:
         """Physical row storing the FPT line for ``row_id``.
 
         Returns ``None`` when the backend was built without a physical
@@ -250,7 +250,7 @@ class MemoryMappedTables(TableBackend):
             slot=slot,
             outcome=LookupOutcome.DRAM_ACCESS,
             latency_ns=self.BLOOM_NS + 2 * self.CACHE_NS + self.dram_lookup_ns,
-            table_row=self._table_row_of(row_id),
+            table_row=self.table_row_of(row_id),
             dram_accesses=1,
         )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.cat import _mix
+from repro.hashing import mix
 
 
 class SetAssociativeTable:
@@ -25,7 +25,7 @@ class SetAssociativeTable:
         self.capacity = capacity
         self.ways = ways
         self.num_sets = capacity // ways
-        self._seed = _mix(seed, 0xF00D)
+        self._seed = mix(seed, 0xF00D)
         # sets[i]: insertion-ordered dict (oldest first = LRU victim).
         self._sets: List[Dict[int, object]] = [
             dict() for _ in range(self.num_sets)
@@ -33,7 +33,7 @@ class SetAssociativeTable:
         self.evictions = 0
 
     def _set_of(self, key: int) -> Dict[int, object]:
-        return self._sets[_mix(key, self._seed) % self.num_sets]
+        return self._sets[mix(key, self._seed) % self.num_sets]
 
     def lookup(self, key: int) -> Optional[object]:
         """Value for ``key`` or ``None`` (refreshes LRU position)."""

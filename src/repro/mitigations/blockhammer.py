@@ -197,7 +197,7 @@ class Blockhammer(MitigationScheme):
         # Post-chunk estimates: carry-in from the tracker plus the
         # stream's segmented cumulative sum (read the carry-ins before
         # the tracker consumes the epoch below).
-        tracker_counts = self.tracker._counts
+        estimate = self.tracker.estimate
         sorted_idx = np.argsort(rows, kind="stable")
         sorted_rows = rows[sorted_idx]
         sorted_counts = counts[sorted_idx]
@@ -206,7 +206,7 @@ class Blockhammer(MitigationScheme):
             np.concatenate(([True], sorted_rows[1:] != sorted_rows[:-1]))
         )
         base = np.fromiter(
-            (tracker_counts[row] for row in sorted_rows[seg_starts].tolist()),
+            (estimate(row) for row in sorted_rows[seg_starts].tolist()),
             dtype=np.int64,
             count=len(seg_starts),
         )

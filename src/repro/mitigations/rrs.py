@@ -185,14 +185,17 @@ class RandomizedRowSwap(MitigationScheme):
                 tracker.settle_epoch_counters(rows, counts)
                 self.now_ns = last_now
                 return
-        kernel = tracker.chunk_kernel()
+        # Feed each chunk straight to its bank, through the modulo bank
+        # map the tracker was built with.
+        observe = [bank.observe_batch for bank in tracker.banks]
+        nb = len(observe)
         map_get = self._map.get
         mitigate = self._mitigate
         now = start_ns
         for row, cnt in zip(rows.tolist(), counts.tolist()):
             stats.accesses += cnt
             physical = map_get(row, row)
-            crossings = kernel(physical, cnt)
+            crossings = observe[physical % nb](physical, cnt)
             if crossings:
                 self.now_ns = now
                 busy = 0.0

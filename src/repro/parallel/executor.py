@@ -457,7 +457,6 @@ def run_sweep_parallel(
     trace: bool = False,
     trace_sample: float = 1.0,
     fault_spec: Optional[FaultSpec] = None,
-    injector_factory: Optional[Callable] = None,
     timeout_s: float = 0.0,
     retries: int = 0,
     backoff_s: float = 0.5,
@@ -475,17 +474,8 @@ def run_sweep_parallel(
     become sums).  ``fault_spec`` -- never a live injector -- derives a
     per-run-point injector inside each worker, so chaos schedules are
     a pure function of (seed, label/workload) regardless of worker
-    assignment.  Passing ``injector_factory`` is a :class:`ConfigError`:
-    live ``FaultInjector`` streams are not process-safe.
+    assignment.
     """
-    if injector_factory is not None:
-        raise ConfigError(
-            "run_sweep_parallel cannot use a live injector_factory: "
-            "FaultInjector PRNG streams are not process-safe (forked "
-            "streams would desynchronise the schedule). Pass "
-            "fault_spec=FaultSpec(...) so each worker derives its own "
-            "per-run-point injector."
-        )
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1 (got {jobs})")
     points = list(points)

@@ -10,7 +10,7 @@ window, a row never reaches ``T_RH`` activations without a mitigation.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -67,12 +67,16 @@ def segmented_stream_crossings(
 class AggressorTracker(abc.ABC):
     """Abstract aggressor-row tracker (the ART)."""
 
+    #: Running statistics: activations observed and threshold crossings
+    #: reported.  Leaf trackers count them; :class:`PerBankTracker`
+    #: derives them from its banks.
+    observations = 0
+    triggers = 0
+
     def __init__(self, threshold: int) -> None:
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         self.threshold = threshold
-        self.observations = 0
-        self.triggers = 0
         self._telemetry = NULL_TELEMETRY
         self._clock: Callable[[], float] = _zero_clock
 
@@ -141,17 +145,6 @@ class AggressorTracker(abc.ABC):
             if crossings:
                 out[i] = crossings
         return out
-
-    def chunk_kernel(self) -> Callable[[int, int], int]:
-        """A per-chunk feed callable for fused scheme loops.
-
-        Returns a ``kernel(row, count) -> crossings`` with exactly
-        :meth:`observe_batch`'s semantics (counters included), possibly
-        specialised for the telemetry-free case.  Schemes' vectorized
-        epoch paths call this once per epoch and then invoke the kernel
-        per chunk, skipping the dispatch layers of the scalar path.
-        """
-        return self.observe_batch
 
     def epoch_cannot_cross(
         self, unique_rows: np.ndarray, unique_totals: np.ndarray
@@ -230,7 +223,11 @@ class PerBankTracker(AggressorTracker):
 
     Graphene (and hence RRS and AQUA) provision the Misra-Gries summary
     per bank, because the activation budget ``ACTmax`` is a per-bank
-    bound.  ``bank_of`` maps a physical row id to its bank.
+    bound.  ``bank_of`` maps a physical row id to its index in
+    ``banks``.  The rank tracker keeps no state of its own: its
+    statistics are the sums over its banks, so feeding
+    ``banks[bank_of(row)]`` directly is the whole effect of a rank-level
+    call.
     """
 
     def __init__(
@@ -243,101 +240,52 @@ class PerBankTracker(AggressorTracker):
         super().__init__(threshold)
         if num_banks < 1:
             raise ValueError("num_banks must be >= 1")
-        self._bank_of = bank_of
-        self._banks: Dict[int, AggressorTracker] = {
-            bank: factory(threshold) for bank in range(num_banks)
-        }
+        self.bank_of = bank_of
+        self.banks: List[AggressorTracker] = [
+            factory(threshold) for _ in range(num_banks)
+        ]
+
+    @property
+    def observations(self) -> int:
+        return sum(bank.observations for bank in self.banks)
+
+    @property
+    def triggers(self) -> int:
+        return sum(bank.triggers for bank in self.banks)
 
     def attach_telemetry(
         self, telemetry, clock: Callable[[], float]
     ) -> None:
         super().attach_telemetry(telemetry, clock)
-        for tracker in self._banks.values():
-            tracker.attach_telemetry(telemetry, clock)
+        for bank in self.banks:
+            bank.attach_telemetry(telemetry, clock)
 
     def observe(self, row_id: int) -> bool:
-        self.observations += 1
-        triggered = self._banks[self._bank_of(row_id)].observe(row_id)
-        if triggered:
-            self.note_trigger()
-        return triggered
+        return self.banks[self.bank_of(row_id)].observe(row_id)
 
     def observe_batch(self, row_id: int, count: int) -> int:
-        self.observations += count
-        crossings = self._banks[self._bank_of(row_id)].observe_batch(
-            row_id, count
+        return self.banks[self.bank_of(row_id)].observe_batch(row_id, count)
+
+    def _by_bank(self, rows: np.ndarray):
+        """Yield ``(bank, indices)`` for each bank that ``rows`` touch."""
+        bank_ids = np.fromiter(
+            (self.bank_of(row) for row in rows.tolist()),
+            dtype=np.int64,
+            count=len(rows),
         )
-        self.triggers += crossings
-        return crossings
-
-    def observe_epoch(
-        self, rows: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
-        """Epoch feed through the per-bank kernels.
-
-        Per-bank stream order equals global stream order restricted to
-        the bank, so dispatching chunk-by-chunk through the fast bank
-        kernels is exact; the rank-level counters are settled in bulk.
-        """
-        if len(rows) != len(counts):
-            raise ValueError("rows and counts must align")
-        out = np.zeros(len(rows), dtype=np.int64)
-        kernel = self.chunk_kernel()
-        if kernel is self.observe_batch:
-            return super().observe_epoch(rows, counts)
-        for i, (row, count) in enumerate(
-            zip(rows.tolist(), counts.tolist())
-        ):
-            if count == 0:
-                # observe_batch is a stateless no-op for empty chunks;
-                # the fast kernels assume count >= 1.
-                continue
-            crossings = kernel(row, count)
-            if crossings:
-                out[i] = crossings
-        return out
-
-    def chunk_kernel(self) -> Callable[[int, int], int]:
-        if self._telemetry.enabled:
-            return self.observe_batch
-        bank_of = self._bank_of
-        banks = self._banks
-        fast = {
-            bank: getattr(tracker, "observe_fast", None)
-            for bank, tracker in banks.items()
-        }
-        if any(fn is None for fn in fast.values()):
-            return self.observe_batch
-
-        def kernel(row_id: int, count: int) -> int:
-            self.observations += count
-            crossings = fast[bank_of(row_id)](row_id, count)
-            if crossings:
-                self.triggers += crossings
-            return crossings
-
-        return kernel
+        for i, bank in enumerate(self.banks):
+            indices = np.flatnonzero(bank_ids == i)
+            if len(indices):
+                yield bank, indices
 
     def epoch_cannot_cross(
         self, unique_rows: np.ndarray, unique_totals: np.ndarray
     ) -> bool:
         """Partition the rows by bank and ask each bank tracker."""
-        if len(unique_rows) == 0:
-            return True
-        bank_ids = np.fromiter(
-            (self._bank_of(row) for row in unique_rows.tolist()),
-            dtype=np.int64,
-            count=len(unique_rows),
+        return all(
+            bank.epoch_cannot_cross(unique_rows[idx], unique_totals[idx])
+            for bank, idx in self._by_bank(unique_rows)
         )
-        for bank, tracker in self._banks.items():
-            mask = bank_ids == bank
-            if not mask.any():
-                continue
-            if not tracker.epoch_cannot_cross(
-                unique_rows[mask], unique_totals[mask]
-            ):
-                return False
-        return True
 
     def sparse_feed_mask(
         self,
@@ -346,56 +294,26 @@ class PerBankTracker(AggressorTracker):
         reserve: int = 0,
     ) -> np.ndarray:
         """Partition by bank and delegate; ``reserve`` applies per bank."""
-        if len(unique_rows) == 0:
-            return np.ones(0, dtype=bool)
         out = np.ones(len(unique_rows), dtype=bool)
-        bank_ids = np.fromiter(
-            (self._bank_of(row) for row in unique_rows.tolist()),
-            dtype=np.int64,
-            count=len(unique_rows),
-        )
-        for bank, tracker in self._banks.items():
-            mask = bank_ids == bank
-            if not mask.any():
-                continue
-            out[mask] = tracker.sparse_feed_mask(
-                unique_rows[mask], unique_totals[mask], reserve
+        for bank, idx in self._by_bank(unique_rows):
+            out[idx] = bank.sparse_feed_mask(
+                unique_rows[idx], unique_totals[idx], reserve
             )
         return out
 
     def settle_epoch_counters(
         self, rows: np.ndarray, counts: np.ndarray
     ) -> None:
-        """Bulk-add the observation counters for a skipped epoch.
-
-        Pairs with a ``True`` :meth:`epoch_cannot_cross` verdict: when a
-        scheme settles an entire eventless epoch without feeding the
-        estimators, the observation statistics (rank- and bank-level)
-        must still advance exactly as the scalar path's would have.
-        """
-        total = int(counts.sum())
-        self.observations += total
-        bank_ids = np.fromiter(
-            (self._bank_of(row) for row in rows.tolist()),
-            dtype=np.int64,
-            count=len(rows),
-        )
-        per_bank = np.bincount(
-            bank_ids, weights=counts, minlength=len(self._banks)
-        ).astype(np.int64)
-        for bank, tracker in self._banks.items():
-            tracker.observations += int(per_bank[bank])
+        """Settle each bank's share of a bulk-settled stream."""
+        for bank, idx in self._by_bank(rows):
+            bank.settle_epoch_counters(rows[idx], counts[idx])
 
     def estimate(self, row_id: int) -> int:
-        return self._banks[self._bank_of(row_id)].estimate(row_id)
+        return self.banks[self.bank_of(row_id)].estimate(row_id)
 
     def drop(self, row_id: int) -> bool:
-        return self._banks[self._bank_of(row_id)].drop(row_id)
+        return self.banks[self.bank_of(row_id)].drop(row_id)
 
     def reset(self) -> None:
-        for tracker in self._banks.values():
-            tracker.reset()
-
-    def bank_tracker(self, bank: int) -> AggressorTracker:
-        """The underlying tracker for ``bank`` (for tests/inspection)."""
-        return self._banks[bank]
+        for bank in self.banks:
+            bank.reset()

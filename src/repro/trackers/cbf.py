@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from repro.core.cat import _mix
+from repro.hashing import mix
 from repro.dram.timing import DDR4Timing, DDR4_2400
 
 
@@ -34,12 +34,12 @@ class CountingBloomFilter:
             raise ValueError("counters and hashes must be >= 1")
         self.num_counters = counters
         self.num_hashes = hashes
-        self._seeds = [_mix(seed, i * 0x9E37) for i in range(hashes)]
+        self._seeds = [mix(seed, i * 0x9E37) for i in range(hashes)]
         self._counters = np.zeros(counters, dtype=np.int64)
 
     def _buckets(self, row_id: int) -> List[int]:
         return [
-            _mix(row_id, seed) % self.num_counters for seed in self._seeds
+            mix(row_id, seed) % self.num_counters for seed in self._seeds
         ]
 
     def increment(self, row_id: int, amount: int = 1) -> int:
@@ -81,7 +81,7 @@ class RowBlocker:
         self.interval_ns = timing.trefw_ns / 2.0
         self._filters = [
             CountingBloomFilter(counters, hashes, seed),
-            CountingBloomFilter(counters, hashes, _mix(seed, 1)),
+            CountingBloomFilter(counters, hashes, mix(seed, 1)),
         ]
         self._active = 0
         self._epoch_half = 0

@@ -80,9 +80,6 @@ class MisraGriesBank(AggressorTracker):
 
     # ------------------------------------------------------------- internals
 
-    def _bucket_add(self, row_id: int, count: int) -> None:
-        self._buckets.setdefault(count, {})[row_id] = None
-
     def _bucket_remove(self, row_id: int, count: int) -> None:
         bucket = self._buckets[count]
         del bucket[row_id]
@@ -94,99 +91,23 @@ class MisraGriesBank(AggressorTracker):
         while self._counts and self._min_count not in self._buckets:
             self._min_count += 1
 
-    def _crossings(self, old: int, new: int) -> int:
-        """Multiples of the threshold crossed moving from old to new."""
-        return new // self.threshold - old // self.threshold
-
-    def _install(self, row_id: int, base: int, count: int) -> int:
-        """Install ``row_id`` at estimate ``count``; return crossings.
-
-        ``base`` is the estimate's starting context (the spill value the
-        entry inherited): a mitigation fires only if the estimate
-        *crossed* a threshold multiple on the way from ``base`` to
-        ``count``, matching Graphene's multiple-of-T trigger rule.  When
-        ``count`` itself exceeds the threshold, any such firing is a
-        spurious mitigation (Sec. IV-F): the row never truly received
-        ``threshold`` activations.
-        """
-        self._counts[row_id] = count
-        self._bucket_add(row_id, count)
-        if len(self._counts) == 1 or count < self._min_count:
-            self._min_count = count
-        crossings = self._crossings(base, count)
-        if crossings > 0 and count >= self.threshold and base > 0:
-            self.spurious_installs += crossings
-        if self._telemetry.enabled:
-            self._telemetry.event(
-                "tracker_install", self._clock(),
-                row=row_id, estimate=count, spill=base,
-                spurious=bool(crossings > 0 and base > 0),
-            )
-            self._telemetry.inc("tracker_installs_total")
-        return crossings
-
     # -------------------------------------------------------------- interface
 
     def observe(self, row_id: int) -> bool:
         return self.observe_batch(row_id, 1) > 0
 
     def observe_batch(self, row_id: int, n: int) -> int:
-        if n < 0:
-            raise ValueError("count must be non-negative")
-        if n == 0:
-            return 0
-        self.observations += n
-        crossings = 0
-        count = self._counts.get(row_id)
-        if count is not None:
-            self._bucket_remove(row_id, count)
-            new_count = count + n
-            self._counts[row_id] = new_count
-            self._bucket_add(row_id, new_count)
-            self._advance_min()
-            crossings = self._crossings(count, new_count)
-        elif len(self._counts) < self.capacity:
-            crossings = self._install(row_id, self.spill, self.spill + n)
-        else:
-            self._advance_min()
-            # Every miss increments the spill counter; the row installs
-            # at the first miss where the spill reaches the current
-            # minimum (evicting a minimum entry), and the batch's
-            # remaining activations then increment the fresh entry.
-            misses_until_install = max(1, self._min_count - self.spill)
-            if n >= misses_until_install:
-                self.spill += misses_until_install
-                victim = next(iter(self._buckets[self._min_count]))
-                self._bucket_remove(victim, self._min_count)
-                del self._counts[victim]
-                if self._telemetry.enabled:
-                    self._telemetry.event(
-                        "tracker_evict", self._clock(),
-                        row=victim, estimate=self._min_count,
-                        replaced_by=row_id,
-                    )
-                    self._telemetry.inc("tracker_evictions_total")
-                self._advance_min()
-                remaining = n - misses_until_install
-                crossings = self._install(
-                    row_id, self.spill, self.spill + 1 + remaining
-                )
-            else:
-                self.spill += n
-        if crossings:
-            self.triggers += crossings
-        return crossings
+        """Record ``n`` back-to-back activations of ``row_id`` in O(1).
 
-    def observe_fast(self, row_id: int, n: int) -> int:
-        """Telemetry-free :meth:`observe_batch` with the helpers inlined.
-
-        Callers (``PerBankTracker.chunk_kernel`` and the schemes'
-        vectorized epoch paths) guarantee ``n >= 1`` and no attached
-        telemetry.  This must mirror ``observe_batch`` *exactly* -- the
-        equivalence suite compares full bank state after interleaved
-        use of both entry points -- the only deltas are skipped
-        telemetry branches and inlined bucket/min-pointer maintenance.
+        The only copy of the update rule: every other entry point
+        (``observe``, the rank tracker, the schemes' epoch loops) lands
+        here.  The bucket and min-pointer maintenance is inlined, since
+        this runs once per trace chunk.
         """
+        if n < 1:
+            if n < 0:
+                raise ValueError("count must be non-negative")
+            return 0
         self.observations += n
         threshold = self.threshold
         counts = self._counts
@@ -212,10 +133,15 @@ class MisraGriesBank(AggressorTracker):
             if crossings:
                 self.triggers += crossings
             return crossings
+        telemetry = self._telemetry
         if len(counts) < self.capacity:
             base = self.spill
             new_count = base + n
         else:
+            # Every miss increments the spill counter; the row installs
+            # at the first miss where the spill reaches the current
+            # minimum (evicting the oldest minimum entry), and the
+            # chunk's remaining activations then increment the entry.
             min_count = self._min_count
             while min_count not in buckets:
                 min_count += 1
@@ -235,13 +161,23 @@ class MisraGriesBank(AggressorTracker):
             if not bucket:
                 del buckets[min_count]
             del counts[victim]
+            if telemetry.enabled:
+                telemetry.event(
+                    "tracker_evict", self._clock(),
+                    row=victim, estimate=min_count, replaced_by=row_id,
+                )
+                telemetry.inc("tracker_evictions_total")
             if counts:
                 while min_count not in buckets:
                     min_count += 1
             self._min_count = min_count
             base = spill
             new_count = spill + 1 + (n - misses)
-        # _install, inlined.
+        # Install at ``new_count``.  A mitigation fires only if the
+        # estimate crossed a threshold multiple on the way from the
+        # inherited spill ``base``; with ``base > 0`` such a firing is
+        # spurious (Sec. IV-F): the row never truly received
+        # ``threshold`` activations.
         counts[row_id] = new_count
         other = buckets.get(new_count)
         if other is None:
@@ -251,12 +187,18 @@ class MisraGriesBank(AggressorTracker):
         if len(counts) == 1 or new_count < self._min_count:
             self._min_count = new_count
         crossings = new_count // threshold - base // threshold
-        if crossings > 0:
-            if new_count >= threshold and base > 0:
-                self.spurious_installs += crossings
+        if crossings and base > 0:
+            self.spurious_installs += crossings
+        if telemetry.enabled:
+            telemetry.event(
+                "tracker_install", self._clock(),
+                row=row_id, estimate=new_count, spill=base,
+                spurious=bool(crossings and base > 0),
+            )
+            telemetry.inc("tracker_installs_total")
+        if crossings:
             self.triggers += crossings
-            return crossings
-        return 0
+        return crossings
 
     def epoch_cannot_cross(self, unique_rows, unique_totals) -> bool:
         """No crossings possible: fresh bank, room for every distinct
@@ -347,10 +289,7 @@ class MisraGriesTracker(PerBankTracker):
     @property
     def spurious_installs(self) -> int:
         """Total spill-inherited threshold crossings across banks."""
-        return sum(
-            bank.spurious_installs
-            for bank in self._banks.values()
-        )
+        return sum(bank.spurious_installs for bank in self.banks)
 
     def collect_metrics(self, telemetry, **labels) -> None:
         super().collect_metrics(telemetry, **labels)
@@ -358,5 +297,5 @@ class MisraGriesTracker(PerBankTracker):
             "tracker_spurious_installs_total"
         ).set_total(self.spurious_installs, **labels)
         telemetry.registry.gauge("tracker_entries").set(
-            sum(len(bank) for bank in self._banks.values()), **labels
+            sum(len(bank) for bank in self.banks), **labels
         )

@@ -49,6 +49,13 @@ class TestResettability:
         with pytest.raises(ValueError):
             bloom.on_invalidate(3)
 
+    def test_positive_groups_follow_the_bits(self, bloom):
+        bloom.on_insert(16)
+        bloom.on_insert(200)
+        bloom.on_insert(201)
+        bloom.on_invalidate(16)
+        assert set(bloom.positive_groups()) == {200 // 16}
+
     def test_group_valid_count(self, bloom):
         bloom.on_insert(16)
         bloom.on_insert(18)

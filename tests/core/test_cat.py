@@ -3,6 +3,16 @@
 import pytest
 
 from repro.core.cat import CollisionAvoidanceTable, TableOverflowError
+from repro.hashing import mix
+
+
+def test_row_hash_values_are_pinned():
+    # Placement in the CAT, the set-associative ablation and the CBFs
+    # all derive from these values.
+    assert mix(0, 0) == 0
+    assert mix(1, 0x1234_5678) == 4030509934843969613
+    assert mix(2**21 - 1, 0xCBF0) == 13344384613531722637
+    assert mix(123456789, 0x5E7A) == 13942305642939247826
 
 
 @pytest.fixture

@@ -31,6 +31,14 @@ class TestSramFpt:
         assert fpt.lookups == 2
         assert fpt.hits == 1
 
+    def test_peek_does_not_count(self):
+        fpt = ForwardPointerTable(capacity=256)
+        fpt.insert(5, 17)
+        assert fpt.peek(5) == 17
+        assert fpt.peek(6) is None
+        assert fpt.lookups == 0
+        assert fpt.hits == 0
+
     def test_max_valid_guard(self):
         fpt = ForwardPointerTable(capacity=256, max_valid=2)
         fpt.insert(1, 0)

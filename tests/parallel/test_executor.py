@@ -114,14 +114,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="jobs must be >= 1"):
             run_sweep_parallel(small_points(), jobs=0)
 
-    def test_live_injector_factory_rejected(self):
-        with pytest.raises(ConfigError, match="not process-safe"):
-            run_sweep_parallel(
-                small_points(),
-                jobs=2,
-                injector_factory=lambda scheme, name: None,
-            )
-
     def test_duplicate_run_points_rejected(self):
         points = small_points(workloads=("xz",))
         with pytest.raises(ConfigError, match="duplicate"):

@@ -38,7 +38,7 @@ def access_streams(draw):
 
 def fpt_slot(aqua, row):
     if isinstance(aqua.tables, SramTables):
-        return aqua.tables.fpt._cat.lookup(row)
+        return aqua.tables.fpt.peek(row)
     return aqua.tables.dram_fpt.peek(row)
 
 

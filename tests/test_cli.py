@@ -236,6 +236,15 @@ class TestChaos:
             assert f"{scheme}/xz" in out
         assert "0 broke" in out
 
+    @pytest.mark.parametrize("rate", ["2", "-0.5"])
+    def test_fault_rate_outside_unit_interval_is_a_parser_error(
+        self, capsys, rate
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--fault-rate", rate])
+        assert excinfo.value.code == 2
+        assert "must be in [0, 1]" in capsys.readouterr().err
+
     def test_two_invocations_identical_output(self, capsys):
         argv = ["chaos", "--seed", "7", "--fault-rate", "1e-3",
                 "--epochs", "1", "--workloads", "xz"]

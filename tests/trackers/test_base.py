@@ -53,5 +53,5 @@ class TestPerBankStats:
         tracker.observe_batch(0, 4)
         tracker.observe(1)
         assert tracker.observations == 5
-        assert tracker.bank_tracker(0).observations == 4
-        assert tracker.bank_tracker(1).observations == 1
+        assert tracker.banks[0].observations == 4
+        assert tracker.banks[1].observations == 1

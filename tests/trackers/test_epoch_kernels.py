@@ -60,25 +60,6 @@ def test_observe_epoch_matches_batched_observe(name, seed, zero_every):
         assert vec.estimate(int(row)) == ref.estimate(int(row))
 
 
-def test_observe_fast_matches_observe_batch_state():
-    """The inlined MG kernel must be indistinguishable from
-    ``observe_batch`` under interleaved use."""
-    fast = MisraGriesBank(50, capacity=4)
-    slow = MisraGriesBank(50, capacity=4)
-    rng = np.random.default_rng(11)
-    for _ in range(500):
-        row = int(rng.integers(0, 12))
-        n = int(rng.integers(1, 30))
-        assert fast.observe_fast(row, n) == slow.observe_batch(row, n)
-    assert fast._counts == slow._counts
-    assert fast._buckets == slow._buckets
-    assert fast._min_count == slow._min_count
-    assert fast.spill == slow.spill
-    assert fast.observations == slow.observations
-    assert fast.triggers == slow.triggers
-    assert fast.spurious_installs == slow.spurious_installs
-
-
 @pytest.mark.parametrize("name", sorted(TRACKER_FACTORIES))
 @pytest.mark.parametrize("seed", (3, 4))
 def test_epoch_cannot_cross_is_sound(name, seed):

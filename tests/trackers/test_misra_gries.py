@@ -131,8 +131,8 @@ class TestPerBankComposition:
         )
         for _ in range(5):
             tracker.observe(0)  # bank 0
-        assert tracker.bank_tracker(0).estimate(0) == 5
-        assert tracker.bank_tracker(1).estimate(0) == 0
+        assert tracker.banks[0].estimate(0) == 5
+        assert tracker.banks[1].estimate(0) == 0
 
     def test_trigger_counted_at_rank_level(self):
         tracker = MisraGriesTracker(
@@ -148,4 +148,4 @@ class TestPerBankComposition:
         )
         crossings = tracker.observe_batch(2, 12)
         assert crossings == 2
-        assert tracker.bank_tracker(2).estimate(2) == 12
+        assert tracker.banks[2].estimate(2) == 12
