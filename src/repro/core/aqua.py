@@ -22,6 +22,9 @@ if hammered (the PTHammer defense of Sec. VI-B).
 
 from __future__ import annotations
 
+from array import array
+from itertools import repeat
+from operator import floordiv
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -254,6 +257,13 @@ class AquaMitigation(MitigationScheme):
           their lookup counters in bulk at epoch end; only chunks that
           may be quarantined -- or that the kernel flags (spurious
           installs) -- take the full translate/quarantine path.
+
+        Under telemetry only the fused loop runs, and it offers the
+        tracer and registry what the scalar loop offers: every chunk
+        reaches its bank (no skip, no sparse-feed omission) with
+        ``now_ns`` at the chunk's timestamp, and the per-chunk
+        ``fpt_lookup_ns`` observations settle in chunk order at epoch
+        end.
         """
         if not self._epoch_fast_path_ok(rows, counts):
             return self._scalar_epoch(rows, counts, start_ns, dt_ns)
@@ -270,25 +280,36 @@ class AquaMitigation(MitigationScheme):
         tracker = self.tracker
         stats = self.stats
         mm = isinstance(tables, MemoryMappedTables)
-        mapped = len(tables.dram_fpt) if mm else len(tables.fpt)
-        uniq, inverse = np.unique(rows, return_inverse=True)
-        totals = np.bincount(
-            inverse, weights=counts, minlength=len(uniq)
-        ).astype(np.int64)
-        if mapped == 0 and not self._pinned_fpt:
-            if tracker.epoch_cannot_cross(uniq, totals):
-                stats.accesses += total
-                tracker.settle_epoch_counters(rows, counts)
-                if mm:
-                    tables.outcome_counts[
-                        LookupOutcome.BLOOM_FILTERED
-                    ] += total
-                    tables.bloom.queries += total
-                    tables.bloom.filtered += total
-                else:
-                    tables.fpt.lookups += total
-                self.now_ns = last_now
-                return
+        traced = self.telemetry.enabled
+        if traced:
+            # A row left out of the stream would never emit its
+            # ``tracker_install``: feed every chunk.
+            feed = repeat(True)
+            cold_ns = tables.BLOOM_NS if mm else tables.LOOKUP_NS
+            lookup_ns = array("d")
+        else:
+            uniq, inverse = np.unique(rows, return_inverse=True)
+            totals = np.bincount(
+                inverse, weights=counts, minlength=len(uniq)
+            ).astype(np.int64)
+            mapped = len(tables.dram_fpt) if mm else len(tables.fpt)
+            if mapped == 0 and not self._pinned_fpt:
+                if tracker.epoch_cannot_cross(uniq, totals):
+                    stats.accesses += total
+                    tracker.settle_epoch_counters(rows, counts)
+                    if mm:
+                        tables.outcome_counts[
+                            LookupOutcome.BLOOM_FILTERED
+                        ] += total
+                        tables.bloom.queries += total
+                        tables.bloom.filtered += total
+                    else:
+                        tables.fpt.lookups += total
+                    self.now_ns = last_now
+                    return
+            feed = tracker.sparse_feed_mask(
+                uniq, totals, self._tracker_reserve
+            )[inverse].tolist()
         # Per-bank dispatch: the loop feeds each chunk straight to its
         # bank, indexed by the modulo bank map ``_build_tracker`` gave
         # the tracker; a tracker without banks is one bank.
@@ -297,8 +318,6 @@ class AquaMitigation(MitigationScheme):
         else:
             observe = [tracker.observe_batch]
         nb = len(observe)
-        feed = tracker.sparse_feed_mask(uniq, totals, self._tracker_reserve)
-        feed_l = feed[inverse].tolist()
         rows_l = rows.tolist()
         counts_l = counts.tolist()
         if mm:
@@ -308,35 +327,43 @@ class AquaMitigation(MitigationScheme):
             # only ever turn groups negative, which merely sends their
             # rows down the (still exact) full path.
             dirty = set(tables.bloom.positive_groups())
-            keys_l = (rows // group_size).tolist()
+            keys = map(floordiv, rows_l, repeat(group_size))
         else:
             group_size = 0
             dirty = {row for row, _ in tables.fpt.items()}
-            keys_l = rows_l
+            keys = rows_l
         translate = self._translate_batch
         quarantine = self._quarantine
         now = start_ns
         cold_acts = 0
         settle_rows: list = []
         settle_counts: list = []
-        for row, cnt, key, fd in zip(rows_l, counts_l, keys_l, feed_l):
+        for row, cnt, key, fd in zip(rows_l, counts_l, keys, feed):
             if key in dirty:
                 self.now_ns = now
                 stats.accesses += cnt
-                physical = translate(row, cnt)[0]
+                physical, latency, _ = translate(row, cnt)
+                if traced:
+                    lookup_ns.append(latency)
                 crossings = observe[physical % nb](physical, cnt)
             elif fd:
                 # Provably unmapped: identity translation whose only
                 # effect is commutative lookup counters, settled in
                 # bulk below.  The tracker still sees the chunk.
                 stats.accesses += cnt
+                if traced:
+                    # The bank stamps its events with ``now_ns``.
+                    self.now_ns = now
+                    lookup_ns.append(cold_ns)
                 crossings = observe[row % nb](row, cnt)
                 if crossings:
                     # Rare spurious install: pay the (bloom-filtered)
                     # lookup now instead of in the bulk settle, then
                     # mitigate exactly as the scalar path would.
                     self.now_ns = now
-                    physical = translate(row, cnt)[0]
+                    physical, latency, _ = translate(row, cnt)
+                    if traced:
+                        lookup_ns[-1] = latency
                 else:
                     cold_acts += cnt
                     now += cnt * dt_ns
@@ -377,6 +404,10 @@ class AquaMitigation(MitigationScheme):
                 tables.bloom.filtered += cold_acts
             else:
                 tables.fpt.lookups += cold_acts
+        if traced:
+            self.telemetry.registry.histogram("fpt_lookup_ns").observe_many(
+                lookup_ns, scheme=self.name
+            )
         self.now_ns = last_now
 
     # -------------------------------------------------------------- internals

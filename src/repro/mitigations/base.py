@@ -313,9 +313,11 @@ class MitigationScheme(abc.ABC):
 
         This scalar loop *defines* the semantics: subclasses that
         override it with vectorized fast paths must produce bit-identical
-        scheme state (the equivalence suite enforces this), and must
-        fall back to this loop whenever faults or telemetry are
-        attached, since those observe individual chunks.
+        scheme state (the equivalence suite enforces this).  They must
+        fall back to this loop whenever faults are attached, since fault
+        sites draw per chunk.  Under telemetry an override either offers
+        the tracer and registry exactly what this loop offers (AQUA's
+        fused loop, DESIGN.md §11) or falls back here too.
         """
         access_batch = self.access_batch
         now = start_ns
@@ -336,12 +338,14 @@ class MitigationScheme(abc.ABC):
     def _epoch_fast_path_ok(self, rows: np.ndarray, counts: np.ndarray) -> bool:
         """Whether a vectorized epoch override may engage.
 
-        Faults and telemetry hook individual chunk events, and the
-        scalar path reports bounds/validation errors at the exact
-        offending chunk; vectorized paths bail to the scalar loop in
-        all those cases.
+        Faults hook individual chunk events, and the scalar path reports
+        bounds/validation errors at the exact offending chunk;
+        vectorized paths bail to the scalar loop in all those cases.
+        Telemetry is the override's own call: one that cannot replay
+        the scalar loop's events and metrics also checks
+        ``self.telemetry.enabled``.
         """
-        if self.faults.enabled or self.telemetry.enabled:
+        if self.faults.enabled:
             return False
         if len(rows) == 0:
             return False

@@ -182,8 +182,10 @@ class Blockhammer(MitigationScheme):
         ledger.  The CBF RowBlocker's estimates are rotation- and
         order-dependent, so that estimator keeps the scalar loop.
         """
-        if self.row_blocker is not None or not self._epoch_fast_path_ok(
-            rows, counts
+        if (
+            self.row_blocker is not None
+            or self.telemetry.enabled
+            or not self._epoch_fast_path_ok(rows, counts)
         ):
             return self._scalar_epoch(rows, counts, start_ns, dt_ns)
         total = int(counts.sum())

@@ -53,7 +53,9 @@ class NoMitigation(MitigationScheme):
     ) -> None:
         """With no tracker and identity translation, an epoch is pure
         bulk arithmetic: the access counter and the final timestamp."""
-        if not self._epoch_fast_path_ok(rows, counts):
+        if self.telemetry.enabled or not self._epoch_fast_path_ok(
+            rows, counts
+        ):
             return self._scalar_epoch(rows, counts, start_ns, dt_ns)
         total = int(counts.sum())
         last_now = start_ns + dt_ns * (total - int(counts[-1]))

@@ -162,7 +162,9 @@ class RandomizedRowSwap(MitigationScheme):
         with no swapped rows and a provably crossing-free stream
         settles as bulk counter arithmetic.
         """
-        if not self._epoch_fast_path_ok(rows, counts):
+        if self.telemetry.enabled or not self._epoch_fast_path_ok(
+            rows, counts
+        ):
             return self._scalar_epoch(rows, counts, start_ns, dt_ns)
         total = int(counts.sum())
         last_now = start_ns + dt_ns * (total - int(counts[-1]))

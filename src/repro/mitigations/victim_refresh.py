@@ -129,7 +129,9 @@ class VictimRefresh(MitigationScheme):
         timestamps, preserving the float accumulation order of
         ``stats.busy_ns`` (non-crossing chunks add exactly ``0.0``).
         """
-        if not self._epoch_fast_path_ok(rows, counts):
+        if self.telemetry.enabled or not self._epoch_fast_path_ok(
+            rows, counts
+        ):
             return self._scalar_epoch(rows, counts, start_ns, dt_ns)
         total = int(counts.sum())
         last_now = start_ns + dt_ns * (total - int(counts[-1]))

@@ -17,7 +17,7 @@ Series names follow the ``name{label=value,...}`` convention, e.g.::
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -125,19 +125,35 @@ class Histogram(Metric):
         self._sum: Dict[LabelKey, float] = {}
 
     def observe(self, value: float, **labels) -> None:
+        self.observe_many((value,), **labels)
+
+    def observe_many(self, values: Sequence[float], **labels) -> None:
+        """Observe ``values`` in order, computing the label key once.
+
+        The buckets, count and sum end exactly as after one
+        :meth:`observe` per value: the sum takes the same float
+        additions in the same order (not ``value * count``, which
+        rounds differently).  An empty sequence creates no series.
+        """
+        if not values:
+            return
         key = label_key(labels)
         counts = self._hist.get(key)
         if counts is None:
             counts = [0.0] * (len(self.bounds) + 1)
             self._hist[key] = counts
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1
-        self._count[key] = self._count.get(key, 0) + 1
-        self._sum[key] = self._sum.get(key, 0.0) + value
+        bounds = self.bounds
+        total = self._sum.get(key, 0.0)
+        for value in values:
+            for i, bound in enumerate(bounds):
+                if value <= bound:
+                    counts[i] += 1
+                    break
+            else:
+                counts[-1] += 1
+            total += value
+        self._count[key] = self._count.get(key, 0) + len(values)
+        self._sum[key] = total
 
     def count(self, **labels) -> int:
         return self._count.get(label_key(labels), 0)

@@ -77,6 +77,11 @@ class MisraGriesBank(AggressorTracker):
         self._buckets: Dict[int, Dict[int, None]] = {}
         self._min_count = 0
         self.spurious_installs = 0
+        #: ``tracker_install`` / ``tracker_evict`` events offered while
+        #: telemetry is attached; :meth:`MisraGriesTracker.collect_metrics`
+        #: publishes them, so the chunk kernel touches no registry.
+        self.install_events = 0
+        self.evict_events = 0
 
     # ------------------------------------------------------------- internals
 
@@ -166,7 +171,7 @@ class MisraGriesBank(AggressorTracker):
                     "tracker_evict", self._clock(),
                     row=victim, estimate=min_count, replaced_by=row_id,
                 )
-                telemetry.inc("tracker_evictions_total")
+                self.evict_events += 1
             if counts:
                 while min_count not in buckets:
                     min_count += 1
@@ -195,7 +200,7 @@ class MisraGriesBank(AggressorTracker):
                 row=row_id, estimate=new_count, spill=base,
                 spurious=bool(crossings and base > 0),
             )
-            telemetry.inc("tracker_installs_total")
+            self.install_events += 1
         if crossings:
             self.triggers += crossings
         return crossings
@@ -293,9 +298,18 @@ class MisraGriesTracker(PerBankTracker):
 
     def collect_metrics(self, telemetry, **labels) -> None:
         super().collect_metrics(telemetry, **labels)
-        telemetry.registry.counter(
-            "tracker_spurious_installs_total"
-        ).set_total(self.spurious_installs, **labels)
-        telemetry.registry.gauge("tracker_entries").set(
+        registry = telemetry.registry
+        registry.counter("tracker_spurious_installs_total").set_total(
+            self.spurious_installs, **labels
+        )
+        registry.gauge("tracker_entries").set(
             sum(len(bank) for bank in self.banks), **labels
         )
+        # The install/evict event counters are unlabeled, and a run
+        # that never offered such an event has no series.
+        installs = sum(bank.install_events for bank in self.banks)
+        if installs:
+            registry.counter("tracker_installs_total").set_total(installs)
+        evictions = sum(bank.evict_events for bank in self.banks)
+        if evictions:
+            registry.counter("tracker_evictions_total").set_total(evictions)

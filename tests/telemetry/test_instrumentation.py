@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.aqua import AquaMitigation
@@ -11,7 +12,10 @@ from repro.sim import runner
 from repro.sim.stats import WorkloadResult
 from repro.sim.system import SystemSimulator
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.workloads import SyntheticWorkload
 from repro.workloads.spec import workload
+from repro.workloads.trace import EpochTrace
+from tests.mitigations.test_epoch_equivalence import TINY_SPEC
 
 
 GEOMETRY = DramGeometry(banks_per_rank=4, rows_per_bank=4096)
@@ -68,6 +72,72 @@ class TestEventCounterAgreement:
         stamps = [event.ts_ns for event in telemetry.tracer.events()]
         assert stamps == sorted(stamps)
         assert stamps[-1] > 0.0
+
+
+def _tracker_counters(telemetry):
+    """The unlabeled install/evict counter series, when present."""
+    telemetry.collect()
+    snapshot = telemetry.registry.snapshot()
+    return {
+        name: snapshot[name]
+        for name in ("tracker_installs_total", "tracker_evictions_total")
+        if name in snapshot
+    }
+
+
+class TestTrackerEventCounters:
+    """``tracker_installs_total`` / ``tracker_evictions_total`` count
+    exactly the ``tracker_install`` / ``tracker_evict`` events offered,
+    through the fused AQUA loop and the scalar RRS loop alike."""
+
+    @staticmethod
+    def _run(scheme, **kwargs):
+        telemetry = Telemetry(sample_rate=1.0)
+        target = SyntheticWorkload(
+            TINY_SPEC, seed=3, max_background_acts=3000
+        )
+        factory = runner.SCHEME_BUILDERS[scheme](1000, **kwargs)
+        runner.run_hardened(factory, target, epochs=2, telemetry=telemetry)
+        return telemetry
+
+    @pytest.mark.parametrize("scheme", ("aqua-mm", "aqua-sram", "rrs"))
+    def test_counters_equal_event_counts(self, scheme):
+        telemetry = self._run(scheme, tracker_entries_per_bank=8)
+        counts = telemetry.tracer.kind_counts()
+        assert telemetry.tracer.dropped == 0
+        assert counts["tracker_install"] > 0
+        assert counts["tracker_evict"] > 0
+        assert _tracker_counters(telemetry) == {
+            "tracker_installs_total": counts["tracker_install"],
+            "tracker_evictions_total": counts["tracker_evict"],
+        }
+
+    @pytest.mark.parametrize("scheme", ("aqua-mm", "rrs"))
+    def test_run_without_evictions_has_no_eviction_series(self, scheme):
+        telemetry = self._run(scheme)
+        counts = telemetry.tracer.kind_counts()
+        assert "tracker_evict" not in counts
+        assert _tracker_counters(telemetry) == {
+            "tracker_installs_total": counts["tracker_install"]
+        }
+
+    def test_run_without_installs_has_no_series(self):
+        telemetry = Telemetry()
+        scheme = runner.aqua_memory_mapped(1000)(telemetry=telemetry)
+        SystemSimulator(scheme).run(_IdleWorkload(), epochs=2)
+        assert "tracker_install" not in telemetry.tracer.kind_counts()
+        assert _tracker_counters(telemetry) == {}
+
+
+class _IdleWorkload:
+    """A workload whose every epoch activates nothing."""
+
+    name = "idle"
+    memory_boundness = 0.5
+
+    def epoch_trace(self, epoch):
+        empty = np.empty(0, dtype=np.int64)
+        return EpochTrace(rows=empty, counts=empty.copy())
 
 
 class TestNullPath:

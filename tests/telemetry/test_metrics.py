@@ -81,6 +81,33 @@ class TestHistogram:
         assert series["lat_count"] == 3.0
         assert series["lat_sum"] == 5_055.0
 
+    def test_observe_many_is_observe_in_order(self):
+        """Same buckets, count and float sum, bit for bit, as one
+        ``observe`` per value; ``value * count`` would round the sum
+        differently."""
+        # Cold bloom-filtered lookups around two DRAM lookups.
+        dram = 46.099999999999994
+        values = ([0.5] * 1000 + [dram]) * 2
+        one_by_one = Histogram("fpt_lookup_ns")
+        for value in values:
+            one_by_one.observe(value, scheme="aqua")
+        bulk = Histogram("fpt_lookup_ns")
+        bulk.observe(3.25, scheme="aqua")
+        bulk.observe_many([], scheme="aqua")
+        bulk.reset()
+        bulk.observe_many(values[:500], scheme="aqua")
+        bulk.observe_many(values[500:], scheme="aqua")
+        assert {k: v.hex() for k, v in bulk.series().items()} == {
+            k: v.hex() for k, v in one_by_one.series().items()
+        }
+        multiplied = (dram + dram) + 0.5 * 2000
+        assert bulk.sum(scheme="aqua") != multiplied
+
+    def test_observe_many_of_nothing_creates_no_series(self):
+        hist = Histogram("lat")
+        hist.observe_many([], scheme="aqua")
+        assert hist.series() == {}
+
     def test_needs_at_least_one_bucket(self):
         with pytest.raises(ValueError):
             Histogram("empty", buckets=())
