@@ -74,6 +74,7 @@ from repro.telemetry import (
     render_series_table,
     render_summary,
     summarize_trace,
+    tag_events,
     write_chrome_trace,
     write_jsonl,
 )
@@ -383,7 +384,7 @@ def _cmd_sweep(args) -> int:
         (failure.scheme, failure.workload): failure.error
         for failure in report.failures
     }
-    tagged_events = []
+    traces = []
     for point in points:
         name = point.workload
         if point.key in errors:
@@ -397,10 +398,7 @@ def _cmd_sweep(args) -> int:
             print(f"  metrics [{name}]:")
             print(render_series_table(report.metrics[point.key]))
         if args.trace and point.key in report.events:
-            tag = {"workload": name}
-            tagged_events.extend(
-                (event, tag) for event in report.events[point.key]
-            )
+            traces.append((report.events[point.key], {"workload": name}))
             dropped = report.trace_dropped.get(point.key, 0)
             if dropped:
                 print(
@@ -413,7 +411,7 @@ def _cmd_sweep(args) -> int:
             if args.trace_format == "chrome"
             else write_jsonl
         )
-        count = writer(args.trace, tagged_events)
+        count = writer(args.trace, tag_events(traces))
         print(f"wrote {count:,} events to {args.trace}")
     if args.out:
         _write_results_json(args.out, meta, points, report)
@@ -481,21 +479,19 @@ def _cmd_chaos(args) -> int:
         f"({degraded} degraded gracefully), {len(errors)} broke"
     )
     if args.trace:
-        tagged_events = []
+        traces = []
         for point in points:
             if point.key not in report.events:
                 continue
             tag = {"workload": point.workload, "label": point.label}
-            tagged_events.extend(
-                (event, tag) for event in report.events[point.key]
-            )
+            traces.append((report.events[point.key], tag))
             dropped = report.trace_dropped[point.key]
             if dropped:
                 print(
                     f"warning: {point.label}/{point.workload} trace "
                     f"dropped {dropped:,} events (ring buffer wrapped)"
                 )
-        count = write_jsonl(args.trace, tagged_events)
+        count = write_jsonl(args.trace, tag_events(traces))
         print(f"wrote {count:,} events to {args.trace}")
     return 1 if errors else 0
 

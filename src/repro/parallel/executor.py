@@ -48,7 +48,7 @@ from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim import runner
 from repro.sim.runner import SCHEME_BUILDERS
 from repro.sim.stats import WorkloadResult
-from repro.telemetry import Telemetry, TraceEvent
+from repro.telemetry import EventLog, Telemetry
 from repro.workloads.mixes import all_mixes
 from repro.workloads.spec import workload
 from repro.workloads.table2 import SPEC_NAMES
@@ -214,8 +214,11 @@ class SweepReport:
     """Runs skipped because the checkpoint already held them."""
     metrics: Dict[RunKey, Dict[str, float]] = field(default_factory=dict)
     """Per-run flat metric snapshots (instrumented runs only)."""
-    events: Dict[RunKey, List[TraceEvent]] = field(default_factory=dict)
-    """Per-run trace events (``trace=True`` runs only)."""
+    events: Dict[RunKey, EventLog] = field(default_factory=dict)
+    """Per-run trace events (``trace=True`` runs only): each run's
+    :class:`~repro.telemetry.events.EventLog` as its worker shipped it,
+    typed columns that build a ``TraceEvent`` per event only when
+    iterated."""
     trace_dropped: Dict[RunKey, int] = field(default_factory=dict)
     faults: Dict[RunKey, dict] = field(default_factory=dict)
     """Per-run ``{counts, digest, summary}`` fault reports, failed runs
@@ -302,7 +305,9 @@ def _execute_point(point: RunPoint, options: ExecOptions) -> dict:
         telemetry.collect()
         payload["metrics"] = telemetry.registry.snapshot()
         if options.trace:
-            payload["events"] = telemetry.tracer.events()
+            # The columnar log itself: on traced-hot it ships in about
+            # 18 bytes per event, a list of TraceEvent objects in 75.
+            payload["events"] = telemetry.tracer.log
             payload["trace_dropped"] = telemetry.tracer.dropped
     if _WORKER_JOURNAL is not None:
         ckpt.append_result_record(

@@ -6,7 +6,8 @@ stack via ``MitigationScheme(telemetry=...)``:
 * :class:`~repro.telemetry.metrics.MetricsRegistry` -- labeled
   counters, gauges, and histograms with cheap ``snapshot()``/``reset()``.
 * :class:`~repro.telemetry.events.EventTracer` -- a bounded ring buffer
-  of structured events at simulated-time timestamps, exportable as
+  of structured events at simulated-time timestamps, held as typed
+  columns (:class:`~repro.telemetry.events.EventLog`) and exportable as
   JSONL or the Chrome trace-event format.
 * :class:`~repro.telemetry.core.Telemetry` -- the facade combining both
   plus the per-epoch snapshot timeline; :data:`NULL_TELEMETRY` is the
@@ -24,10 +25,12 @@ from repro.telemetry.core import (
 )
 from repro.telemetry.events import (
     DEFAULT_CAPACITY,
+    EventLog,
     EventTracer,
     TraceEvent,
     load_trace,
     load_trace_lenient,
+    tag_events,
     write_chrome_trace,
     write_jsonl,
 )
@@ -48,6 +51,7 @@ __all__ = [
     "Counter",
     "DEFAULT_CAPACITY",
     "EpochSnapshot",
+    "EventLog",
     "EventTracer",
     "Gauge",
     "Histogram",
@@ -62,6 +66,7 @@ __all__ = [
     "render_series_table",
     "render_summary",
     "summarize_trace",
+    "tag_events",
     "write_chrome_trace",
     "write_jsonl",
 ]
