@@ -67,6 +67,7 @@ from repro.service import (
     SimulationService,
     serve_async,
 )
+from repro.service.jobs import known_workload_names
 from repro.sim import runner
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.telemetry import (
@@ -148,7 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--epochs", type=_positive_int, default=2,
                        help="refresh windows to simulate (>= 1)")
     sweep.add_argument("--workloads", nargs="*", default=["lbm", "gcc", "xz"],
-                       metavar="NAME", help=f"choose from {SPEC_NAMES}")
+                       metavar="NAME",
+                       help=f"choose from {SPEC_NAMES} or mix00 to mix15")
     sweep.add_argument("--seed", type=int, default=0,
                        help="workload-generation seed (reproducible traces)")
     sweep.add_argument("--trace", metavar="PATH", default=None,
@@ -328,9 +330,10 @@ def _write_results_json(path, meta, points, report) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    unknown = [n for n in args.workloads if n not in SPEC_NAMES]
+    unknown = [n for n in args.workloads if n not in known_workload_names()]
     if unknown:
-        print(f"error: unknown workloads {unknown}; choose from {SPEC_NAMES}")
+        print(f"error: unknown workloads {unknown}; choose from {SPEC_NAMES} "
+              "or a mix name (mix00 to mix15)")
         return 2
     instrumented = bool(args.trace or args.metrics)
     checkpoint = None

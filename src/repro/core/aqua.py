@@ -85,10 +85,14 @@ class AquaMitigation(MitigationScheme):
         #: chain on every read; the access path validates every chunk
         #: against it, so cache the (immutable) value once.
         self._visible_rows = cfg.visible_rows
+        # The clock only timestamps events.  Untraced, the RQA gets none,
+        # so no closure ties the scheme into a reference cycle and its
+        # tables are freed when the run drops it, not at the next full
+        # garbage collection.
         self.rqa = RowQuarantineArea(
             cfg.derived_rqa_slots,
             telemetry=self.telemetry,
-            clock=lambda: self.now_ns,
+            clock=(lambda: self.now_ns) if self.telemetry.enabled else None,
         )
         self.rqa_base = cfg.rqa_base_row
         self.tracker = _build_tracker(cfg)
@@ -307,9 +311,10 @@ class AquaMitigation(MitigationScheme):
                         tables.fpt.lookups += total
                     self.now_ns = last_now
                     return
-            feed = tracker.sparse_feed_mask(
+            mask = tracker.sparse_feed_mask(
                 uniq, totals, self._tracker_reserve
-            )[inverse].tolist()
+            )
+            feed = repeat(True) if mask.all() else mask[inverse].tolist()
         # Per-bank dispatch: the loop feeds each chunk straight to its
         # bank, indexed by the modulo bank map ``_build_tracker`` gave
         # the tracker; a tracker without banks is one bank.

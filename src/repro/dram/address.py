@@ -26,6 +26,8 @@ at all.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.dram.geometry import DramGeometry, RowAddress
 
 
@@ -54,9 +56,19 @@ class AddressMapper:
         self.geometry = geometry
         self.policy = policy
 
-    def bank_of(self, row_id: int) -> int:
-        """Bank index (within the rank) that holds ``row_id``."""
-        self.geometry.validate_row(row_id)
+    def bank_of(self, row_id):
+        """Bank index (within the rank) that holds ``row_id``.
+
+        An integer array of row ids maps elementwise, with one bounds
+        check for the whole array: per-bank trackers partition an
+        epoch's distinct rows this way in one call.
+        """
+        if isinstance(row_id, np.ndarray):
+            if row_id.size:
+                self.geometry.validate_row(int(row_id.min()))
+                self.geometry.validate_row(int(row_id.max()))
+        else:
+            self.geometry.validate_row(row_id)
         if self.policy == "interleaved":
             return row_id % self.geometry.banks_per_rank
         return row_id // self.geometry.rows_per_bank

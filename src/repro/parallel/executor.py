@@ -37,6 +37,7 @@ up in :data:`~repro.sim.runner.SCHEME_BUILDERS` inside the worker.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -49,8 +50,8 @@ from repro.sim import runner
 from repro.sim.runner import SCHEME_BUILDERS
 from repro.sim.stats import WorkloadResult
 from repro.telemetry import EventLog, Telemetry
-from repro.workloads.mixes import all_mixes
-from repro.workloads.spec import workload
+from repro.workloads import spec
+from repro.workloads.mixes import MixWorkload, all_mixes
 from repro.workloads.table2 import SPEC_NAMES
 
 
@@ -170,7 +171,7 @@ def expand_grid(
 def resolve_workload(name: str, seed: int = 0):
     """Rebuild a workload by name inside a worker (SPEC or mix)."""
     if name in SPEC_NAMES:
-        return workload(name, seed=seed)
+        return spec.workload(name, seed=seed)
     for mix in all_mixes():
         if mix.name == name:
             return mix
@@ -349,26 +350,39 @@ def _chunk_points(
 
 
 def _prewarm_trace_cache(points: List[RunPoint]) -> None:
-    """Generate each distinct epoch trace once, in the parent.
+    """Generate, in the parent, each epoch trace that several points share.
 
     Fork-started worker processes (the default on Linux) inherit the
     warm memo cache, so a grid sweeping many schemes over few
-    workloads generates each trace once instead of once per worker.
-    Spawn-started platforms simply regenerate in the workers --
+    workloads generates each shared trace once instead of once per
+    worker.  A trace only one point needs is left to the worker that
+    runs it: generating it here would only serialise work the pool
+    does in parallel.  At most ``TRACE_CACHE_ENTRIES`` keys are
+    generated, the first in grid order, so none is evicted before the
+    fork.  Spawn-started platforms simply regenerate in the workers --
     traces are pure functions of their key, so correctness never
     depends on the cache.  Failures (unknown workload names) are left
     for the worker, where they produce a proper failure payload.
     """
-    seen = set()
+    users: Counter = Counter()  # trace key -> points that need it
+    sources: Dict[tuple, tuple] = {}  # trace key -> (generator, epoch)
     for point in points:
-        key = (point.workload, point.seed, point.epochs)
-        if key in seen:
-            continue
-        seen.add(key)
         try:
             target = resolve_workload(point.workload, seed=point.seed)
+        except Exception:
+            continue
+        members = (
+            target.members if isinstance(target, MixWorkload) else [target]
+        )
+        for member in members:
             for epoch in range(point.epochs):
-                target.epoch_trace(epoch)
+                key = member.trace_key(epoch)
+                users[key] += 1
+                sources.setdefault(key, (member, epoch))
+    shared = [sources[key] for key, n in users.items() if n > 1]
+    for member, epoch in shared[:spec.TRACE_CACHE_ENTRIES]:
+        try:
+            member.epoch_trace(epoch)
         except Exception:
             continue
 

@@ -224,10 +224,11 @@ class PerBankTracker(AggressorTracker):
     Graphene (and hence RRS and AQUA) provision the Misra-Gries summary
     per bank, because the activation budget ``ACTmax`` is a per-bank
     bound.  ``bank_of`` maps a physical row id to its index in
-    ``banks``.  The rank tracker keeps no state of its own: its
-    statistics are the sums over its banks, so feeding
-    ``banks[bank_of(row)]`` directly is the whole effect of a rank-level
-    call.
+    ``banks``, and an integer array of row ids elementwise (epoch
+    planning partitions a whole epoch's rows in one call).  The rank
+    tracker keeps no state of its own: its statistics are the sums over
+    its banks, so feeding ``banks[bank_of(row)]`` directly is the whole
+    effect of a rank-level call.
     """
 
     def __init__(
@@ -268,11 +269,8 @@ class PerBankTracker(AggressorTracker):
 
     def _by_bank(self, rows: np.ndarray):
         """Yield ``(bank, indices)`` for each bank that ``rows`` touch."""
-        bank_ids = np.fromiter(
-            (self.bank_of(row) for row in rows.tolist()),
-            dtype=np.int64,
-            count=len(rows),
-        )
+        # A constant map (one bank) returns a scalar: broadcast it.
+        bank_ids = np.broadcast_to(self.bank_of(rows), rows.shape)
         for i, bank in enumerate(self.banks):
             indices = np.flatnonzero(bank_ids == i)
             if len(indices):

@@ -1,5 +1,8 @@
 """AQUA orchestrator: quarantine lifecycle end-to-end (Sec. IV)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.aqua import AquaMitigation
@@ -224,3 +227,20 @@ class TestStorage:
         assert mm.sram_bytes() < sram.sram_bytes()
         # Sec. V-G: ~41 KB total for mapping + migration structures.
         assert mm.sram_bytes() == pytest.approx(41 * 1024, rel=0.05)
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("table_mode", ["sram", "memory-mapped"])
+    def test_untraced_scheme_freed_without_cycle_collector(self, table_mode):
+        # A sweep worker runs point after point: a scheme caught in a
+        # reference cycle keeps its tables alive until the next full
+        # collection and raises the worker's peak memory.
+        scheme = AquaMitigation(make_aqua_config(table_mode=table_mode))
+        hammer(scheme, 100, 40)
+        ref = weakref.ref(scheme)
+        gc.disable()
+        try:
+            del scheme
+            assert ref() is None
+        finally:
+            gc.enable()

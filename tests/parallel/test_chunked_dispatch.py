@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
+from collections import Counter
 
 import pytest
 
@@ -15,7 +17,12 @@ from repro.parallel.executor import (
     _execute_point,
     _prewarm_trace_cache,
 )
-from repro.workloads import clear_trace_cache, trace_cache_stats
+from repro.workloads import (
+    SyntheticWorkload,
+    clear_trace_cache,
+    spec,
+    trace_cache_stats,
+)
 
 
 fork_only = pytest.mark.skipif(
@@ -103,6 +110,70 @@ class TestPrewarm:
         hits, misses, _ = trace_cache_stats()
         assert misses == misses_after_parallel
         assert hits >= len(points)
+
+
+#: xz and gcc are one generator each, mix04 four: 6 per epoch.
+_ONCE_WORKLOADS = ("xz", "gcc", "mix04")
+
+
+class TestEachTraceGeneratedOnce:
+    """Across the parent and every worker, each distinct trace key is
+    generated exactly once: in the parent when several points share it,
+    otherwise in the worker that runs its point."""
+
+    def _generations(self, monkeypatch, tmp_path, points):
+        """``(pid, key)`` of every trace generation during the sweep.
+
+        The hook is installed before the pool forks, so the workers
+        inherit it; each writes its own lines to one append-mode file.
+        """
+        log = tmp_path / "generated.log"
+        generate = SyntheticWorkload._generate_trace
+
+        def logged(self, epoch):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {self.trace_key(epoch)!r}\n")
+            return generate(self, epoch)
+
+        monkeypatch.setattr(SyntheticWorkload, "_generate_trace", logged)
+        clear_trace_cache()
+        report = run_sweep_parallel(points, jobs=2)
+        assert not report.failures
+        lines = log.read_text(encoding="utf-8").splitlines()
+        return [tuple(line.split(" ", 1)) for line in lines]
+
+    @fork_only
+    def test_one_scheme_generates_in_the_workers(
+        self, monkeypatch, tmp_path
+    ):
+        points = expand_grid(["aqua-mm"], _ONCE_WORKLOADS, epochs=2)
+        generations = self._generations(monkeypatch, tmp_path, points)
+        keys = Counter(key for _, key in generations)
+        assert len(keys) == 12
+        assert set(keys.values()) == {1}
+        assert str(os.getpid()) not in {pid for pid, _ in generations}
+
+    @fork_only
+    def test_two_schemes_generate_in_the_parent(self, monkeypatch, tmp_path):
+        points = expand_grid(
+            ["aqua-mm", "blockhammer"], _ONCE_WORKLOADS, epochs=2
+        )
+        generations = self._generations(monkeypatch, tmp_path, points)
+        keys = Counter(key for _, key in generations)
+        assert len(keys) == 12
+        assert set(keys.values()) == {1}
+        assert {pid for pid, _ in generations} == {str(os.getpid())}
+
+    def test_prewarm_never_outgrows_the_cache(self, monkeypatch):
+        monkeypatch.setattr(spec, "TRACE_CACHE_ENTRIES", 3)
+        clear_trace_cache()
+        points = expand_grid(
+            ["aqua-mm", "blockhammer"], _ONCE_WORKLOADS, epochs=2
+        )
+        _prewarm_trace_cache(points)
+        # 12 shared keys, but only as many generated as stay cached.
+        hits, misses, live = trace_cache_stats()
+        assert (hits, misses, live) == (0, 3, 3)
 
 
 class TestDeterminism:

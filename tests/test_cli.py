@@ -41,6 +41,14 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "xz" in out and "wrf" in out
 
+    def test_mix_workload_accepted(self, capsys):
+        code = main(
+            ["sweep", "--scheme", "aqua-sram", "--workloads", "mix04",
+             "--epochs", "1"]
+        )
+        assert code == 0
+        assert "mix04" in capsys.readouterr().out
+
     def test_unknown_workload_rejected(self, capsys):
         assert main(["sweep", "--workloads", "doom"]) == 2
         assert "unknown" in capsys.readouterr().out
